@@ -684,13 +684,13 @@ func BenchmarkIncrementalGraph(b *testing.B) {
 // density) and settles it for 100 ticks so the parked clusters have
 // converged — the regime where tick cost must track the active set, not
 // the roster.
-func parkedEngine(workers int, eager, noMemo bool) *engine.Engine {
-	return parkedEngineAt(workers, eager, noMemo, 0.02)
+func parkedEngine(workers int, eager bool) *engine.Engine {
+	return parkedEngineAt(workers, eager, 0.02)
 }
 
 // parkedEngineAt is parkedEngine with the commuter active fraction as a
 // parameter, for the parked→mobile sweep.
-func parkedEngineAt(workers int, eager, noMemo bool, active float64) *engine.Engine {
+func parkedEngineAt(workers int, eager bool, active float64) *engine.Engine {
 	const n = 50000
 	w := space.NewWorld(2.5)
 	ids := make([]ident.NodeID, n)
@@ -701,39 +701,33 @@ func parkedEngineAt(workers int, eager, noMemo bool, active float64) *engine.Eng
 		Pause: 1, ActiveFraction: active}
 	topo := engine.NewSpatialTopology(w, m, 0.2, ids, rand.New(rand.NewSource(1)))
 	s := engine.New(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: 1, Workers: workers,
-		EagerCompute: eager, DisableMemo: noMemo}, topo)
+		EagerCompute: eager}, topo)
 	s.StepTicks(100)
 	return s
 }
 
-// BenchmarkParkedTick is the PR 6/9 acceptance benchmark: the settled
-// parked-world tick at n=50000 with the full skip stack on (the default:
-// signature skip + fixpoint memo), with the memo disabled (the PR 6-era
-// version-grained skip alone), and with everything off (EagerCompute —
-// every parked node re-derives its no-op round, the pre-skip cost model
-// on the slot-indexed engine). The PR 5 baseline for the same world is
-// this benchmark run on the PR 5 tree; all are recorded in
-// BENCH_engine.json. skipfrac reports the fraction of compute boundaries
-// the measured ticks satisfied without executing; memofrac is the share
-// satisfied by memoized fixpoint replays specifically (the ISSUE 9
-// layer; bench-trend gates both). The wake* metrics decompose the
-// *executed* computes by the flight recorder's attributed cause
-// (self-activity vs inbox traffic vs boundary-memory hold expiry vs
-// memo misses), the profile ROADMAP item 1 optimizes against. The
-// attribution must account for every executed compute, and the measured
-// ticks must be allocation-free — both asserted here.
+// BenchmarkParkedTick is the parked-world acceptance benchmark: the
+// settled tick at n=50000 with the version-grained activity skip on (the
+// default), and with it off (EagerCompute — every parked node re-derives
+// its no-op round, the pre-skip cost model on the slot-indexed engine).
+// Runs are recorded in BENCH_engine.json. skipfrac reports the fraction
+// of compute boundaries the measured ticks satisfied without executing
+// (bench-trend gates it). The wake* metrics decompose the *executed*
+// computes by the flight recorder's attributed cause (self-activity vs
+// inbox traffic vs boundary-memory hold expiry). The attribution must
+// account for every executed compute, and the measured ticks must be
+// allocation-free — both asserted here.
 func BenchmarkParkedTick(b *testing.B) {
 	modes := []struct {
-		name          string
-		eager, noMemo bool
+		name  string
+		eager bool
 	}{
-		{"skip-4workers", false, false},
-		{"nomemo-4workers", false, true},
-		{"eager-4workers", true, false},
+		{"skip-4workers", false},
+		{"eager-4workers", true},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
-			s := parkedEngine(4, mode.eager, mode.noMemo)
+			s := parkedEngine(4, mode.eager)
 			s.ComputesRun, s.ComputesSkipped = 0, 0
 			before := s.Introspect().Snapshot().Counters
 			phaseBefore := s.Introspect().Snapshot().PhaseNs
@@ -752,10 +746,6 @@ func BenchmarkParkedTick(b *testing.B) {
 			}
 			if total := s.ComputesRun + s.ComputesSkipped; total > 0 {
 				b.ReportMetric(float64(s.ComputesSkipped)/float64(total), "skipfrac")
-				if !mode.eager && !mode.noMemo {
-					memo := after["skips_memo"] - before["skips_memo"]
-					b.ReportMetric(float64(memo)/float64(total), "memofrac")
-				}
 			}
 			run := after["computes_run"] - before["computes_run"]
 			if run > 0 {
@@ -776,7 +766,6 @@ func BenchmarkParkedTick(b *testing.B) {
 				b.ReportMetric(frac("wakes_self_active"), "wakeself")
 				b.ReportMetric(frac("wakes_inbox_new", "wakes_inbox_lost"), "wakeinbox")
 				b.ReportMetric(frac("wakes_hold_expiry"), "wakehold")
-				b.ReportMetric(frac("wakes_memo_miss"), "wakememo")
 			}
 		})
 	}
@@ -790,9 +779,8 @@ func BenchmarkParkedTick(b *testing.B) {
 func BenchmarkParkedSweep(b *testing.B) {
 	for _, active := range []float64{0, 0.02, 0.10, 0.50} {
 		b.Run(fmt.Sprintf("active=%g", active), func(b *testing.B) {
-			s := parkedEngineAt(4, false, false, active)
+			s := parkedEngineAt(4, false, active)
 			s.ComputesRun, s.ComputesSkipped = 0, 0
-			before := s.Introspect().Snapshot().Counters["skips_memo"]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Step()
@@ -800,8 +788,6 @@ func BenchmarkParkedSweep(b *testing.B) {
 			b.StopTimer()
 			if total := s.ComputesRun + s.ComputesSkipped; total > 0 {
 				b.ReportMetric(float64(s.ComputesSkipped)/float64(total), "skipfrac")
-				memo := s.Introspect().Snapshot().Counters["skips_memo"] - before
-				b.ReportMetric(float64(memo)/float64(total), "memofrac")
 			}
 		})
 	}

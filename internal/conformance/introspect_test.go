@@ -144,16 +144,6 @@ func TestWakeHistogramAccountsAllComputes(t *testing.T) {
 				if c["wakes_quiet_replay"] != 0 {
 					t.Errorf("skip mode attributed %d quiet replays — those boundaries should have been skipped", c["wakes_quiet_replay"])
 				}
-				// The fixpoint memo must engage (and the accounting still
-				// close): memoized replays land in skips_memo, and the
-				// signature-failed-but-content-proven computes that seed
-				// them show up as memo_miss wakes.
-				if c["skips_memo"] == 0 {
-					t.Error("skip mode never replayed through the fixpoint memo — the memo accounting check is vacuous")
-				}
-				if c["wakes_memo_miss"] == 0 {
-					t.Error("skip mode attributed no memo-miss wakes — version-churn re-probes are not being classified")
-				}
 			}
 		})
 	}

@@ -16,24 +16,13 @@ import (
 // skip actually engages (a conformance pass that silently never skips
 // proves nothing).
 
-// computeMode selects which layers of the skip predicate a differential
-// run leaves enabled.
-type computeMode struct{ eager, disableMemo bool }
-
-var (
-	modeEager   = computeMode{eager: true}       // every compute executed
-	modeNoMemo  = computeMode{disableMemo: true} // version-grained skip only
-	modeDefault = computeMode{}                  // skip + fixpoint memo
-)
-
-// runMode is run() with the oracle off and the compute mode explicit; it
-// also returns the engine's compute counters and the memoized-replay
-// count.
-func runMode(t *testing.T, workers, rounds int, m computeMode) (recs []roundRec, ran, skipped int, memo uint64) {
+// runMode is run() with the oracle off and the compute mode explicit
+// (eager: every compute executed; otherwise the activity skip); it also
+// returns the engine's compute counters.
+func runMode(t *testing.T, workers, rounds int, eager bool) (recs []roundRec, ran, skipped int) {
 	t.Helper()
 	s := newScenario(workers, false)
-	s.e.P.EagerCompute = m.eager
-	s.e.P.DisableMemo = m.disableMemo
+	s.e.P.EagerCompute = eager
 	tr := obs.NewGroupTracker(s.e)
 	for r := 0; r < rounds; r++ {
 		s.step(r, false)
@@ -44,17 +33,15 @@ func runMode(t *testing.T, workers, rounds int, m computeMode) (recs []roundRec,
 			Msgs: s.e.MessagesSent, Bytes: s.e.BytesSent, Delivs: s.e.Deliveries,
 		})
 	}
-	memo = s.e.Introspect().Snapshot().Counters["skips_memo"]
-	return recs, s.e.ComputesRun, s.e.ComputesSkipped, memo
+	return recs, s.e.ComputesRun, s.e.ComputesSkipped
 }
 
 // runCommuterMode is the same over the commuter scenario (fixed
 // membership, 92% parked — the regime the skip is built for).
-func runCommuterMode(t *testing.T, workers, rounds int, m computeMode) (recs []roundRec, ran, skipped int, memo uint64) {
+func runCommuterMode(t *testing.T, workers, rounds int, eager bool) (recs []roundRec, ran, skipped int) {
 	t.Helper()
 	e := commuterScenario(workers, false)
-	e.P.EagerCompute = m.eager
-	e.P.DisableMemo = m.disableMemo
+	e.P.EagerCompute = eager
 	tr := obs.NewGroupTracker(e)
 	for r := 0; r < rounds; r++ {
 		e.StepRound()
@@ -65,8 +52,7 @@ func runCommuterMode(t *testing.T, workers, rounds int, m computeMode) (recs []r
 			Msgs: e.MessagesSent, Bytes: e.BytesSent, Delivs: e.Deliveries,
 		})
 	}
-	memo = e.Introspect().Snapshot().Counters["skips_memo"]
-	return recs, e.ComputesRun, e.ComputesSkipped, memo
+	return recs, e.ComputesRun, e.ComputesSkipped
 }
 
 func assertSameStream(t *testing.T, name string, a, b []roundRec) {
@@ -82,8 +68,8 @@ func assertSameStream(t *testing.T, name string, a, b []roundRec) {
 // eager and default executions produce bit-identical record streams, the
 // eager run never skips, and the default run does.
 func TestSkipMatchesEagerCompute(t *testing.T) {
-	eager, _, eSkipped, _ := runMode(t, 1, 60, modeEager)
-	def, dRan, dSkipped, _ := runMode(t, 1, 60, modeDefault)
+	eager, _, eSkipped := runMode(t, 1, 60, true)
+	def, dRan, dSkipped := runMode(t, 1, 60, false)
 	assertSameStream(t, "eager vs default", eager, def)
 	if eSkipped != 0 {
 		t.Fatalf("eager run skipped %d computes", eSkipped)
@@ -99,9 +85,9 @@ func TestSkipMatchesEagerCompute(t *testing.T) {
 // count: eager-sequential, default-sequential and default-4-workers must
 // agree record for record.
 func TestSkipMatchesEagerComputeParallel(t *testing.T) {
-	eagerSeq, _, _, _ := runMode(t, 1, 40, modeEager)
-	defSeq, _, _, _ := runMode(t, 1, 40, modeDefault)
-	defPar, _, skipped, _ := runMode(t, 4, 40, modeDefault)
+	eagerSeq, _, _ := runMode(t, 1, 40, true)
+	defSeq, _, _ := runMode(t, 1, 40, false)
+	defPar, _, skipped := runMode(t, 4, 40, false)
 	assertSameStream(t, "eager-seq vs default-seq", eagerSeq, defSeq)
 	assertSameStream(t, "default-seq vs default-par", defSeq, defPar)
 	if skipped == 0 {
@@ -115,9 +101,9 @@ func TestSkipMatchesEagerComputeParallel(t *testing.T) {
 // and the trace must still be bit-identical to the eager execution at
 // any worker count.
 func TestCommuterSkipMatchesEagerCompute(t *testing.T) {
-	eager, eRan, _, _ := runCommuterMode(t, 1, 40, modeEager)
-	def, dRan, dSkipped, _ := runCommuterMode(t, 1, 40, modeDefault)
-	defPar, _, _, _ := runCommuterMode(t, 4, 40, modeDefault)
+	eager, eRan, _ := runCommuterMode(t, 1, 40, true)
+	def, dRan, dSkipped := runCommuterMode(t, 1, 40, false)
+	defPar, _, _ := runCommuterMode(t, 4, 40, false)
 	assertSameStream(t, "eager vs default", eager, def)
 	assertSameStream(t, "default-seq vs default-par", def, defPar)
 	if dSkipped == 0 {
@@ -132,50 +118,4 @@ func TestCommuterSkipMatchesEagerCompute(t *testing.T) {
 	if frac < 0.2 {
 		t.Fatalf("skip fraction %.1f%% — the parked majority is not being skipped", 100*frac)
 	}
-}
-
-// TestMemoMatchesDisabled is the differential proof the tentpole hangs
-// on (ISSUE 9, DESIGN.md §2i): with the fixpoint memo force-disabled vs
-// enabled, the full per-round record stream — protocol state, broadcast
-// contents, Ω-partition statistics, traffic counters — must be
-// bit-identical on the churning walled world. A memoized replay advances
-// the compute counter that feeds boundary-memory expiry jitter, so any
-// drift in counter bookkeeping shows up here as a diverging trace the
-// round a hold expires early or late. The memo run must actually replay
-// through the memo, or the test proves nothing.
-func TestMemoMatchesDisabled(t *testing.T) {
-	off, oRan, oSkipped, oMemo := runMode(t, 1, 60, modeNoMemo)
-	on, nRan, nSkipped, nMemo := runMode(t, 1, 60, modeDefault)
-	assertSameStream(t, "memo-off vs memo-on", off, on)
-	if oMemo != 0 {
-		t.Fatalf("DisableMemo run recorded %d memoized replays", oMemo)
-	}
-	if nMemo == 0 {
-		t.Fatal("memo run never replayed through the memo — the new class is dead and this test proves nothing")
-	}
-	if oRan+oSkipped != nRan+nSkipped {
-		t.Fatalf("compute boundaries diverged: off %d+%d, on %d+%d", oRan, oSkipped, nRan, nSkipped)
-	}
-	t.Logf("churning world: memo replays %d (runs %d → %d)", nMemo, oRan, nRan)
-}
-
-// TestCommuterMemoMatchesDisabled crosses the memo with the worker count
-// in its target regime: memo-off-sequential, memo-on-sequential and
-// memo-on-4-workers must agree record for record, and the memo must
-// carry a visible share of the replays (the re-probe wakes it was built
-// to absorb).
-func TestCommuterMemoMatchesDisabled(t *testing.T) {
-	off, oRan, _, _ := runCommuterMode(t, 1, 40, modeNoMemo)
-	on, nRan, _, nMemo := runCommuterMode(t, 1, 40, modeDefault)
-	onPar, pRan, _, pMemo := runCommuterMode(t, 4, 40, modeDefault)
-	assertSameStream(t, "memo-off vs memo-on", off, on)
-	assertSameStream(t, "memo-on-seq vs memo-on-par", on, onPar)
-	if nMemo == 0 {
-		t.Fatal("commuter memo run never replayed through the memo")
-	}
-	if pRan != nRan || pMemo != nMemo {
-		t.Fatalf("worker count changed the memo outcome: seq ran %d memo %d, par ran %d memo %d",
-			nRan, nMemo, pRan, pMemo)
-	}
-	t.Logf("commuter world: memo replays %d (runs %d → %d)", nMemo, oRan, nRan)
 }

@@ -224,12 +224,6 @@ type Node struct {
 	quiet         Quietness
 	streakMoved   bool
 	rejectedMoved bool
-	// overflowed records whether the last executed Compute entered the
-	// too-far contest (the fold exceeded Dmax+1 positions). The contest
-	// reads priorities of nodes the receiver does not track, which the
-	// masked inbox digest deliberately leaves unhashed — so fixpoint
-	// proofs must never be taken from such a round (see InboxReadDigest).
-	overflowed bool
 
 	// Per-node scratch reused across computes (never escapes): the view
 	// and quarantine double-buffers swap with the live slices each round;
@@ -245,8 +239,6 @@ type Node struct {
 	gprsSpare  []prec
 	incsBuf    []incoming
 	heardBuf   []heardRec
-	readSetBuf []ident.NodeID // InboxReadDigest's sorted tracked-ID scratch
-	orderBuf   []int32        // InboxReadDigest's preference-sort scratch
 	bld        antlist.Builder
 }
 
@@ -448,150 +440,6 @@ func (n *Node) SkipLonelyRound() {
 	n.storeSelfPrio()
 	n.group = n.self
 	n.version++
-}
-
-// StateDigest returns a 64-bit content hash of every decision-relevant
-// input Compute consults, with exactly two deliberate exclusions that
-// the fixpoint-memo machinery (the caller, DESIGN.md §2i) accounts for
-// by other means:
-//
-//   - the compute counter, which enters Compute only through the
-//     boundary-memory expiry filter (a no-op while
-//     Computes() < HoldHorizon(), the gate the caller must hold) and
-//     through reject's hold jitter (unreachable in a round that rejects
-//     nothing — and a round proven quiet rejected nothing);
-//   - the boundary-memory expiry *values*, which by the same two
-//     arguments are never read by such a round; the rejected *set* (the
-//     ids) is hashed, since it selects the auto-reject branch per sender.
-//
-// Everything else is folded in: the list (entries, marks, and position
-// structure), the view, the quarantine table, both priority caches, the
-// node's own and group priority, the incompatibility streaks, and the
-// one-time clock-sync flag. Two states with equal digests at the same
-// configuration therefore drive Compute through identical branches for
-// an identical inbox — even when their version counters differ, which is
-// what lets a driver recognize a state that *cycled back* to content it
-// has already proven a fixpoint of. Streaks and boundary entries are
-// hashed in their stored order; a content-equal state reached through a
-// different observation order may hash differently, which costs a memo
-// hit but never soundness. The digest is recomputed from scratch on each
-// call (O(state)); callers cache it per version.
-func (n *Node) StateDigest() uint64 {
-	h := digSeed
-	mix := func(v uint64) { h = digMix(h, v) }
-	mix(uint64(n.list.Len()))
-	for i := 0; i < n.list.Len(); i++ {
-		set := n.list.At(i)
-		mix(uint64(len(set)))
-		for _, e := range set {
-			mix(uint64(e.ID))
-			mix(uint64(e.Mark))
-		}
-	}
-	mix(uint64(len(n.view)))
-	for _, v := range n.view {
-		mix(uint64(v))
-	}
-	mix(uint64(len(n.quar)))
-	for i := range n.quar {
-		mix(uint64(n.quar[i].id))
-		mix(uint64(uint32(n.quar[i].q)))
-	}
-	mix(uint64(len(n.prios)))
-	for i := range n.prios {
-		mix(uint64(n.prios[i].id))
-		mix(n.prios[i].p.Clock)
-		mix(uint64(n.prios[i].p.ID))
-	}
-	mix(uint64(len(n.gprs)))
-	for i := range n.gprs {
-		mix(uint64(n.gprs[i].id))
-		mix(n.gprs[i].p.Clock)
-		mix(uint64(n.gprs[i].p.ID))
-	}
-	mix(n.self.Clock)
-	mix(uint64(n.self.ID))
-	mix(n.group.Clock)
-	mix(uint64(n.group.ID))
-	mix(uint64(len(n.streak)))
-	for i := range n.streak {
-		mix(uint64(n.streak[i].id))
-		mix(uint64(uint32(n.streak[i].c)))
-	}
-	mix(uint64(len(n.rejected)))
-	for i := range n.rejected {
-		mix(uint64(n.rejected[i].id))
-	}
-	if n.synced {
-		mix(1)
-	} else {
-		mix(0)
-	}
-	return h
-}
-
-// RoundOverflowed reports whether the last executed Compute entered the
-// too-far contest (its fold exceeded Dmax+1 positions). Such a round
-// read priorities of nodes outside the receiver's tracked set, which
-// InboxReadDigest does not hash — fixpoint proofs must not be taken
-// from it.
-func (n *Node) RoundOverflowed() bool { return n.overflowed }
-
-// InboxReadDigest returns a 64-bit content hash of the buffered message
-// set restricted to what the next Compute can read given this node's
-// current state: each message's MaskedDigest under the node's
-// tracked-ID set (its own list's nodes, marks included, plus itself —
-// the exact set learnPriorities resolves records for), folded in
-// Compute's own deterministic preference order. Folding in that order
-// is what pins the one message-level field the projection leaves
-// unhashed — the advertised group priority, whose only reader is the
-// preference sort itself: two inboxes that sort identically and match
-// record for record under the mask drive Compute through identical
-// branches, no matter how the unread priority values differ.
-//
-// Messages from senders held in the boundary memory are digested with
-// their list dropped (MaskedDigest's dropList): the rejected-until
-// branch discards a held sender's list unread, so its content cannot
-// influence the round. Membership in n.rejected is the right predicate
-// on both memo paths — a proof round kept every entry live (an eviction
-// sets rejectedMoved, killing quietness) and a replay runs under the
-// HoldHorizon gate, which keeps them live again.
-//
-// Together with StateDigest this is the fixpoint-memo key (DESIGN.md
-// §2i). The masking is sound because equal state digests pin the list
-// and the boundary-memory IDs, and therefore pin the mask itself: a
-// proof stored as (StateDigest, InboxReadDigest) can only be consulted
-// from a state whose tracked set and held-sender set — and hence whose
-// read projection and sort keys — are identical, and two inboxes with
-// equal projections drive that Compute through identical branches to an
-// identical result, except when the round enters the too-far contest,
-// which RoundOverflowed exposes so callers refuse the proof.
-func (n *Node) InboxReadDigest() uint64 {
-	ids := n.readSetBuf[:0]
-	for _, e := range n.list.Entries() {
-		ids = append(ids, e.ID)
-	}
-	ids = append(ids, n.id)
-	slices.Sort(ids)
-	n.readSetBuf = ids
-	inRead := func(u ident.NodeID) bool {
-		_, ok := slices.BinarySearch(ids, u)
-		return ok
-	}
-	ord := n.orderBuf[:0]
-	for i := range n.msgSet {
-		ord = append(ord, int32(i))
-	}
-	slices.SortFunc(ord, func(x, y int32) int {
-		return n.prefCmp(&n.msgSet[x], &n.msgSet[y])
-	})
-	n.orderBuf = ord
-	h := digMix(digSeed, uint64(len(n.msgSet)))
-	for _, i := range ord {
-		m := &n.msgSet[i]
-		h = digMix(h, m.MaskedDigest(n.id, inRead, n.rejectedUntil(m.From) != 0))
-	}
-	return h
 }
 
 // HoldHorizon returns the earliest boundary-memory expiry (0 when the
@@ -821,10 +669,7 @@ type incoming struct {
 // prefCmp is Compute's stable preference order over received messages:
 // view members first (their lists are never subject to the compatibility
 // test), then senders by their advertised group priority (oldest first),
-// then by ID. InboxReadDigest folds the buffer in exactly this order —
-// that shared comparator is what lets the masked digest leave the
-// message-level group priority unhashed (see Message.MaskedDigest), so
-// the two must never diverge.
+// then by ID.
 func (n *Node) prefCmp(x, y *Message) int {
 	a, b := x.From, y.From
 	av, bv := n.inView(a), n.inView(b)
@@ -869,7 +714,6 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 	emptyInbox := len(n.msgSet) == 0
 	n.streakMoved = false
 	n.rejectedMoved = false
-	n.overflowed = false
 
 	// Check order is a stable preference order, not plain ID order: view
 	// members first (their lists are never subject to the compatibility
@@ -958,7 +802,6 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 
 	// Lines 14–29: removal of incoming lists containing too-far nodes.
 	if newList.Len() > dmax+1 {
-		n.overflowed = true
 		for _, w := range newList.At(dmax + 1) {
 			if w.Mark.Marked() {
 				continue // marks never travel that far; defensive

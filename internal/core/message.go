@@ -52,203 +52,6 @@ type PrioRec struct {
 	GroupPrio priority.P
 }
 
-// Digest returns a 64-bit content hash of everything the wire codec
-// would carry for this message: sender, group priority, the full list
-// (entries with marks, position structure included), and every record
-// field — the Has* flags too, since an absent priority changes receiver
-// behavior just like a different one. Two messages with equal digests
-// are indistinguishable to any receiver, whether they were built by
-// BuildMessage or forged by a fault injector, so any field added to
-// the codec must be folded in here as well.
-func (m Message) Digest() uint64 {
-	return m.MaskedDigest(ident.None, nil, false)
-}
-
-// MaskedDigest is Digest restricted to the fields a receiver's ComputeIn
-// can actually read when inRead reports which node IDs the receiver
-// resolves priority records for (nil means all — the full Digest, which
-// ignores dropList).
-//
-// The engine's fixpoint memo (DESIGN.md §2i) keys inbox content on this
-// projection rather than the raw bytes, because a broadcast routinely
-// carries content its receiver provably ignores: a border node re-
-// advertises the ticking isolation clock of a commuter it double-marked,
-// and every receiver that strips marked entries on arrival
-// (cleanReceived) never reads that record's priorities — hashing them
-// would make the inbox digest change every round and starve the memo for
-// the entire second ring around every mover. The unmasked base must
-// cover every field ComputeIn reads regardless of the read set:
-//
-//   - From is always hashed. The message-level GroupPrio is not: its
-//     only reader is Compute's preference sort, and InboxReadDigest
-//     pins that sort's *outcome* instead by folding the buffered
-//     messages in sorted order — hashing the value itself would let a
-//     held lonely neighbor's ticking clock (group priority = own
-//     priority when alone) churn the digest every round without ever
-//     changing the sort. (The full Digest, inRead == nil, hashes it.)
-//   - the list feeds cleanReceived/goodList/safePrefix and the fold
-//     itself, but only ever *through* cleanReceived's deletion pass —
-//     nothing reads the raw bytes — so the mask hashes its cleaned
-//     projection: marked entries are dropped (except a single-marked
-//     receiver entry, the handshake signal; a double-marked receiver
-//     entry is a rejection and cleans away like any other mark), while
-//     the per-set structure survives so that a set emptied by the
-//     deletions still reads as the hole goodList rejects. Hashing raw
-//     marks would defeat the memo around every mover: a border node's
-//     bookkeeping marks on a commuter it is aging out flap every round
-//     with no receiver able to observe the difference. The projection
-//     is skipped entirely when dropList is set, which the
-//     receiver asserts for senders held in its boundary memory: the
-//     rejected-until branch replaces the cleaned list with
-//     Singleton(Double(u)) before anything reads it, so the entire list
-//     of a held neighbor is dead content (cleanReceived does run on it
-//     first, but it is pure and its result is overwritten). The
-//     assertion is safe on both memo paths: a stored proof comes from a
-//     quiet round, where the expiry filter kept every memory entry (an
-//     eviction sets rejectedMoved and the round is not quiet), and a
-//     replay runs under Computes() < HoldHorizon(), where the filter
-//     keeps them again. Dropping it is what lets a node hold a boundary
-//     against a neighbor whose own neighborhood keeps evolving: the
-//     neighbor's broadcast churns every round, but none of that churn is
-//     readable through an auto-rejected message;
-//   - records of untracked nodes are dropped whole under the mask. Their
-//     only readers are the two quarantine inheritance passes, and those
-//     key the heard-min scratch by the record's own ID — an untracked
-//     record can only produce heard entries under an untracked key,
-//     which the quarantine rebuild (iterating the fold result, equal to
-//     the receiver's own list in any quiet round) never looks up. Every
-//     sender is tracked in a proof round (the fold keeps each sender at
-//     least marked, and a quiet round reproduces the list), so the
-//     sender's own record is never dropped by this rule;
-//   - tracked records keep ID, Mark and Pos, which feed the record-
-//     lookup scans and the group-priority provider election (smallest
-//     Pos wins). Quar is excluded even for them: its only consumer
-//     is the inheritance min, which can move a receiver countdown only
-//     when that countdown is positive or the entry is fresh — and either
-//     one changes the quarantine slice, so the round is not quiet and no
-//     memo proof is ever stored for (or keyed to) such a state. In any
-//     proof-holding state every tracked quarantine is zero and already
-//     known, where max(heard-1, 0) < 0 never fires, whatever was heard —
-//     while hashing the raw countdowns would churn the digest for Dmax
-//     rounds around every admission;
-//   - a record's priority values and Has* flags are only ever read
-//     through Rec(u) lookups for nodes u the receiver tracks — its own
-//     list plus itself — which is exactly the inRead projection. (The
-//     too-far contest reads priorities of untracked nodes, so proofs are
-//     never taken from rounds that entered it: Node.RoundOverflowed.)
-//
-// Record marks of nodes other than the receiver are likewise hashed as
-// a marked/plain bit, not as their three-way grade: every read of a
-// record mark goes through Mark.Marked() (the quarantine passes and
-// safePrefix's Mark.Max merge, which feeds a Marked() filter on the
-// very next line), so the grade of a non-self record is unobservable.
-//
-// Lies and genuine frames hash identically by construction: the digest
-// sees only message content, never its provenance.
-func (m Message) MaskedDigest(self ident.NodeID, inRead func(ident.NodeID) bool, dropList bool) uint64 {
-	h := digSeed
-	mix := func(v uint64) { h = digMix(h, v) }
-	markOf := func(id ident.NodeID, mk ident.Mark) uint64 {
-		if inRead == nil || id == self {
-			return uint64(mk)
-		}
-		if mk.Marked() {
-			return 1
-		}
-		return 0
-	}
-	mix(uint64(m.From))
-	if inRead == nil {
-		mix(m.GroupPrio.Clock)
-		mix(uint64(m.GroupPrio.ID))
-	}
-	if inRead == nil {
-		mix(uint64(m.List.Len()))
-		for i := 0; i < m.List.Len(); i++ {
-			set := m.List.At(i)
-			mix(uint64(len(set)))
-			for _, e := range set {
-				mix(uint64(e.ID))
-				mix(uint64(e.Mark))
-			}
-		}
-	} else if !dropList {
-		// Hash the list as cleanReceived's deletion pass would leave it:
-		// marked entries dropped except a single-marked receiver, per-set
-		// structure kept (an emptied set is the hole goodList rejects).
-		// Normalize is a pure function of this projection, and the raw
-		// list has no other reader.
-		keepEnt := func(e ident.Entry) bool {
-			return !e.Mark.Marked() || (e.ID == self && e.Mark == ident.MarkSingle)
-		}
-		mix(uint64(m.List.Len()))
-		for i := 0; i < m.List.Len(); i++ {
-			set := m.List.At(i)
-			kept := uint64(0)
-			for _, e := range set {
-				if keepEnt(e) {
-					kept++
-				}
-			}
-			mix(kept)
-			for _, e := range set {
-				if keepEnt(e) {
-					mix(uint64(e.ID))
-					mix(uint64(e.Mark))
-				}
-			}
-		}
-	}
-	if inRead == nil {
-		mix(uint64(len(m.Recs)))
-	}
-	for _, r := range m.Recs {
-		if inRead != nil && !inRead(r.ID) {
-			continue
-		}
-		mix(uint64(r.ID))
-		mix(markOf(r.ID, r.Mark))
-		if inRead == nil {
-			mix(uint64(uint16(r.Pos))<<16 | uint64(uint16(r.Quar)))
-		} else {
-			mix(uint64(uint16(r.Pos)))
-		}
-		f := uint64(0)
-		if r.HasPrio {
-			f |= 1
-		}
-		if r.HasGroupPrio {
-			f |= 2
-		}
-		mix(f)
-		mix(r.Prio.Clock)
-		mix(uint64(r.Prio.ID))
-		mix(r.GroupPrio.Clock)
-		mix(uint64(r.GroupPrio.ID))
-	}
-	return h
-}
-
-// digSeed/digMix are the mixing core shared by the content digests
-// (Message.Digest, Node.StateDigest, Node.InboxReadDigest): one 64-bit
-// word folded in per call with two multiply–xorshift rounds (the
-// splitmix64 finalizer's structure). The digests sit on the engine's
-// per-round skip path, so the fold must be cheap and inlinable — the
-// byte-wise FNV-1a loop this replaces cost eight multiplies per word
-// and, containing a loop, was never inlined into the fold sites.
-// Digests are identity helpers for memoization, never security
-// boundaries.
-const digSeed = uint64(14695981039346656037)
-
-func digMix(h, v uint64) uint64 {
-	h ^= v
-	h *= 0x9e3779b97f4a7c15
-	h ^= h >> 29
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 32
-	return h
-}
-
 // Rec returns the first record for id (the one with the smallest list
 // position) and whether one exists. A linear scan over the ascending
 // slice beats a binary search at protocol record counts (a handful of

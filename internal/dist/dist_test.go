@@ -1,11 +1,16 @@
 package dist
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ident"
 	"repro/internal/obs"
@@ -387,6 +392,75 @@ func freeAddr(t *testing.T) string {
 	addr := ln.Addr().String()
 	ln.Close()
 	return addr
+}
+
+// TestTCPSetupDeadline pins the mesh-setup bound on the listening side:
+// a higher peer that never starts, connects and stays silent, or sends
+// a bad hello fails DialTCP within tcpDialTimeout with an error naming
+// the listening shard, and a connection that was accepted is closed.
+func TestTCPSetupDeadline(t *testing.T) {
+	defer func(d time.Duration) { tcpDialTimeout = d }(tcpDialTimeout)
+	tcpDialTimeout = 300 * time.Millisecond
+
+	// dialPeer connects to addr as shard 1 would, sending hello (if any).
+	dialPeer := func(addr string, hello []byte) <-chan net.Conn {
+		ch := make(chan net.Conn, 1)
+		go func() {
+			for i := 0; i < 100; i++ {
+				if c, err := net.Dial("tcp", addr); err == nil {
+					c.Write(hello)
+					ch <- c
+					return
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			ch <- nil
+		}()
+		return ch
+	}
+	badHello := make([]byte, 4)
+	binary.LittleEndian.PutUint32(badHello, 7)
+
+	for _, tc := range []struct {
+		name  string
+		hello []byte // nil: the peer never starts
+	}{
+		{"peer never starts", nil},
+		{"silent peer", []byte{}},
+		{"bad hello", badHello},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addrs := []string{freeAddr(t), freeAddr(t)}
+			var peer <-chan net.Conn
+			if tc.hello != nil {
+				peer = dialPeer(addrs[0], tc.hello)
+			}
+			start := time.Now()
+			tr, err := DialTCP(0, addrs)
+			if err == nil {
+				tr.Close()
+				t.Fatal("DialTCP succeeded without a working peer")
+			}
+			if took := time.Since(start); took > 10*tcpDialTimeout {
+				t.Fatalf("DialTCP took %v to fail, timeout %v", took, tcpDialTimeout)
+			}
+			if !strings.Contains(err.Error(), "shard 0") {
+				t.Fatalf("error does not name the shard: %v", err)
+			}
+			if peer == nil {
+				return
+			}
+			c := <-peer
+			if c == nil {
+				t.Fatal("peer never connected")
+			}
+			defer c.Close()
+			c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, rerr := c.Read(make([]byte, 1)); !errors.Is(rerr, io.EOF) {
+				t.Fatalf("accepted conn left open after failed setup (read: %v); DialTCP error: %v", rerr, err)
+			}
+		})
+	}
 }
 
 // TestBoundaryTrafficIsDelta pins the elision: on a mostly-parked world

@@ -35,9 +35,10 @@ type tcpFrame struct {
 	err     error
 }
 
-// tcpDialTimeout bounds the whole mesh setup: peers are expected to
-// start within this window of each other.
-const tcpDialTimeout = 30 * time.Second
+// tcpDialTimeout bounds the whole mesh setup — accepts, hello reads and
+// dials alike: peers are expected to start within this window of each
+// other. A variable only so tests can shorten it.
+var tcpDialTimeout = 30 * time.Second
 
 // maxTCPFrame bounds a frame length header before allocating (a corrupt
 // or hostile peer must not drive an arbitrary allocation).
@@ -58,34 +59,39 @@ func DialTCP(self int, addrs []string) (*TCPTransport, error) {
 		wbufs: make([]*bufio.Writer, n),
 		recv:  make([]chan tcpFrame, n),
 	}
-	// Accept from every higher-indexed peer.
+	deadline := time.Now().Add(tcpDialTimeout)
+	// Accept from every higher-indexed peer. The listener and each hello
+	// read share the setup deadline, so a peer that never starts, or
+	// connects and stays silent, fails the setup instead of hanging it.
 	if self < n-1 {
 		ln, err := net.Listen("tcp", addrs[self])
 		if err != nil {
-			return nil, fmt.Errorf("dist: tcp: listen %s: %w", addrs[self], err)
+			return nil, fmt.Errorf("dist: tcp: shard %d: listen %s: %w", self, addrs[self], err)
 		}
 		t.ln = ln
+		if err := ln.(*net.TCPListener).SetDeadline(deadline); err != nil {
+			t.Close()
+			return nil, fmt.Errorf("dist: tcp: shard %d: listen %s: %w", self, addrs[self], err)
+		}
 		for need := n - 1 - self; need > 0; need-- {
 			conn, err := ln.Accept()
 			if err != nil {
 				t.Close()
-				return nil, fmt.Errorf("dist: tcp: accept: %w", err)
+				return nil, fmt.Errorf("dist: tcp: shard %d: accept (%d higher peers missing): %w", self, need, err)
 			}
-			var hello [4]byte
-			if _, err := io.ReadFull(conn, hello[:]); err != nil {
-				t.Close()
-				return nil, fmt.Errorf("dist: tcp: hello: %w", err)
+			peer, err := readHello(conn, deadline)
+			if err == nil && (peer <= self || peer >= n || t.conns[peer] != nil) {
+				err = fmt.Errorf("bad hello from shard %d", peer)
 			}
-			peer := int(binary.LittleEndian.Uint32(hello[:]))
-			if peer <= self || peer >= n || t.conns[peer] != nil {
+			if err != nil {
+				conn.Close()
 				t.Close()
-				return nil, fmt.Errorf("dist: tcp: bad hello from shard %d", peer)
+				return nil, fmt.Errorf("dist: tcp: shard %d: %w", self, err)
 			}
 			t.conns[peer] = conn
 		}
 	}
 	// Dial every lower-indexed peer (they may not be listening yet).
-	deadline := time.Now().Add(tcpDialTimeout)
 	for peer := 0; peer < self; peer++ {
 		for {
 			conn, err := net.DialTimeout("tcp", addrs[peer], time.Second)
@@ -100,7 +106,7 @@ func DialTCP(self int, addrs []string) (*TCPTransport, error) {
 			}
 			if time.Now().After(deadline) {
 				t.Close()
-				return nil, fmt.Errorf("dist: tcp: dial shard %d at %s: %w", peer, addrs[peer], err)
+				return nil, fmt.Errorf("dist: tcp: shard %d: dial shard %d at %s: %w", self, peer, addrs[peer], err)
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
@@ -119,6 +125,22 @@ func DialTCP(self int, addrs []string) (*TCPTransport, error) {
 		go t.readLoop(p, conn)
 	}
 	return t, nil
+}
+
+// readHello reads a dialer's 4-byte shard index under the setup
+// deadline, then clears the deadline for the mesh's lifetime.
+func readHello(conn net.Conn, deadline time.Time) (int, error) {
+	var hello [4]byte
+	if err := conn.SetReadDeadline(deadline); err != nil {
+		return 0, fmt.Errorf("hello: %w", err)
+	}
+	if _, err := io.ReadFull(conn, hello[:]); err != nil {
+		return 0, fmt.Errorf("hello: %w", err)
+	}
+	if err := conn.SetReadDeadline(time.Time{}); err != nil {
+		return 0, fmt.Errorf("hello: %w", err)
+	}
+	return int(binary.LittleEndian.Uint32(hello[:])), nil
 }
 
 func (t *TCPTransport) readLoop(peer int, conn net.Conn) {

@@ -110,12 +110,6 @@ type Params struct {
 	// this); the flag exists for that differential proof and for
 	// measuring the skip's effect.
 	EagerCompute bool
-	// DisableMemo disables only the content-aware second chance of the
-	// skip predicate (the fixpoint memo, DESIGN.md §2i), leaving the
-	// version-grained skip in place. Like EagerCompute the trace is
-	// bit-identical either way — the flag exists for the differential
-	// conformance proof of the memo and for measuring its effect.
-	DisableMemo bool
 	// Seed drives all randomness (mobility, channel, jitter, send
 	// backoff). The same seed reproduces the same execution bit for bit
 	// regardless of Workers.
@@ -146,11 +140,7 @@ func (p *Params) normalize() {
 // function of its state version (core.Node.Version), and the incarnation
 // generation disambiguates removed-and-readded nodes whose version
 // counters restart — equal signatures therefore imply byte-identical
-// buffered message sets. A signature mismatch is not the end of the
-// skip decision: the fixpoint memo (DESIGN.md §2i) gives windows whose
-// *content* the node has already proven harmless a second chance, keyed
-// on digests of the buffered messages themselves rather than on these
-// identity triples.
+// buffered message sets.
 type senderVer struct {
 	id  ident.NodeID
 	gen uint64 // sender incarnation (engine membership generation at add)
@@ -237,30 +227,6 @@ type nodeRec struct {
 	holdExp  uint64
 	fixVer   uint64
 
-	// Fixpoint memo (DESIGN.md §2i): up to memoCap (state content digest,
-	// read-masked inbox digest) pairs proven — by an executed Compute
-	// that classified quiet — to reproduce the node's state. When the
-	// exact signature check above fails, a memo hit on the *current*
-	// content pair licenses the same O(1) replay, whether the node is
-	// armed (its senders' versions moved but the content its compute can
-	// read did not, or cycled back) or not (the node's own state content
-	// cycled back to a proven configuration — the boundary re-probe
-	// oscillation). A proof is a context-free mathematical fact about
-	// (state content, readable inbox content) under this node's fixed
-	// configuration, so the table survives state changes and is dropped
-	// only on slot recycling; entries are kept most-recent-first, memoN
-	// is the live count.
-	//
-	// stateDig caches StateDigest at version stateDigVer, refreshed after
-	// every executed compute; the memo is consulted only while the
-	// node's version still equals stateDigVer, which fences off every
-	// external mutation path (LoadState, PoisonBoundary — both bump the
-	// version) without the engine having to see it happen.
-	memo        [memoCap]memoEnt
-	memoN       int
-	stateDig    uint64
-	stateDigVer uint64
-
 	// seeded marks that the node has computed at least once since this
 	// slot incarnation — a compute on an unseeded record is attributed to
 	// introspect.WakeFresh, every later one to the gate that broke the
@@ -279,53 +245,6 @@ type nodeRec struct {
 	lie     *core.Message
 	lieVer  uint64
 	lieSize int
-}
-
-// memoCap bounds the per-node fixpoint memo. A settled boundary cycles
-// through its whole hold/expiry/re-probe/re-reject loop — hold rounds,
-// the debounce streak, and the quarantine countdown each contribute one
-// distinct (state, inbox) content pair, and desynchronized neighbors
-// (the expiry jitter staggers them on purpose) multiply the inbox
-// variants — so the steady-state working set is the cycle length, not
-// the two broadcast variants alone. Sixteen entries cover measured
-// commuter-world cycles with slack at 256 bytes per node; LRU over a
-// cyclic reference pattern degrades hard once the cycle exceeds the
-// cap, so undersizing costs the whole hit rate, not a fraction of it.
-const memoCap = 16
-
-// memoEnt is one fixpoint proof: a node whose decision-relevant state
-// content hashes to state provably reproduces that state when computing
-// over an inbox whose content hashes to inbox.
-type memoEnt struct {
-	state uint64
-	inbox uint64
-}
-
-// memoHit reports whether the memo holds a proof for (state, inbox) and
-// refreshes its recency on a hit.
-func (r *nodeRec) memoHit(state, inbox uint64) bool {
-	for i := 0; i < r.memoN; i++ {
-		if r.memo[i] == (memoEnt{state: state, inbox: inbox}) {
-			ent := r.memo[i]
-			copy(r.memo[1:i+1], r.memo[:i])
-			r.memo[0] = ent
-			return true
-		}
-	}
-	return false
-}
-
-// memoStore records a fresh proof at the front, evicting the least
-// recently used entry when the table is full.
-func (r *nodeRec) memoStore(state, inbox uint64) {
-	if r.memoHit(state, inbox) {
-		return
-	}
-	if r.memoN < memoCap {
-		r.memoN++
-	}
-	copy(r.memo[1:r.memoN], r.memo[:r.memoN-1])
-	r.memo[0] = memoEnt{state: state, inbox: inbox}
 }
 
 // RemovedNode records one departure for the dirty report: the node's
@@ -410,12 +329,6 @@ type Engine struct {
 	// registry (radio.DropCounter channels only).
 	lastDrops uint64
 
-	// phaseMark threads the wall-clock phase boundary across the split
-	// tick (AdvancePhase → BuildPhase → FinishTick), so a distributed
-	// caller interleaving transport work between the phases still gets
-	// per-phase timings that cover only engine work.
-	phaseMark time.Time
-
 	// MessagesSent counts broadcasts; BytesSent their encoded sizes;
 	// Deliveries successful receptions. ComputesRun counts protocol
 	// computes executed; ComputesSkipped the compute boundaries satisfied
@@ -488,8 +401,6 @@ func (e *Engine) addNode(v ident.NodeID) {
 	rec.consumed = rec.consumed[:0]
 	rec.armed, rec.quiet, rec.holdExp = false, core.QuietNone, 0
 	rec.fixVer = 0
-	rec.memoN = 0
-	rec.stateDig, rec.stateDigVer = 0, 0
 	rec.seeded = false
 	rec.lie, rec.lieVer, rec.lieSize = nil, 0, 0
 	e.Nodes[v] = rec.n
@@ -756,12 +667,10 @@ func (e *Engine) Step() {
 // RNG stream. Distributed callers use the split form (AdvancePhase,
 // BuildPhase, FinishTick); everyone else calls Step.
 func (e *Engine) AdvancePhase() {
-	// Phase 1: topology (global RNG stream). phaseMark threads the
-	// wall-clock phase boundaries into the registry's non-deterministic
-	// section — the deterministic counters below never see a clock.
-	e.phaseMark = time.Now()
+	// Phase 1: topology (global RNG stream).
+	start := time.Now()
 	e.Topo.Advance(e.rng)
-	e.phaseMark = e.markPhase(introspect.PhaseAdvance, e.phaseMark)
+	e.markPhase(introspect.PhaseAdvance, start)
 }
 
 // BuildPhase runs phase 2 of a tick: every member whose send timer fires
@@ -771,7 +680,7 @@ func (e *Engine) AdvancePhase() {
 // retained for FinishTick's arbitration; distributed callers read it to
 // route boundary copies of due broadcasts to neighboring shards.
 func (e *Engine) BuildPhase() []radio.Tx {
-	now := e.phaseMark
+	start := time.Now()
 
 	// Phase 2: build. The wheel hands each shard exactly its due senders
 	// in canonical order; workers draw send backoffs from their shard's
@@ -912,7 +821,7 @@ func (e *Engine) BuildPhase() []radio.Tx {
 		e.reg.Add(introspect.CtrBytesSent, uint64(sc.bytes))
 	}
 	e.txsBuf = txs
-	e.phaseMark = e.markPhase(introspect.PhaseBuild, now)
+	e.markPhase(introspect.PhaseBuild, start)
 	return e.txsBuf
 }
 
@@ -950,7 +859,7 @@ func (e *Engine) BroadcastOf(v ident.NodeID) (m *core.Message, gen, ver uint64, 
 // most once per tick, so no receiver ever sees two deliveries from the
 // same sender in one tick. Step is FinishTick(nil).
 func (e *Engine) FinishTick(ext []ExternalDelivery) {
-	now := e.phaseMark
+	now := time.Now()
 	txs := e.txsBuf
 
 	if len(txs) > 0 {
@@ -1064,90 +973,37 @@ func (e *Engine) FinishTick(ext []ExternalDelivery) {
 	// is untouched since (fixVer — LoadState and any other external
 	// mutation disarm via this), and the inbox signature of this window
 	// equals the one the quiet round consumed — in which case the round
-	// provably reproduces itself and is replayed in O(1). A signature that
-	// differs in sender versions only gets a content-aware second chance
-	// through the per-node fixpoint memo (DESIGN.md §2i).
+	// provably reproduces itself and is replayed in O(1).
 	cdue := e.computeWheel.due(e.tick)
 	e.runShards(func(s int) {
 		sc := &e.scratch[s]
 		sc.ran, sc.skipped = 0, 0
 		sc.wakes = sc.wakes[:0]
-		var skipFix, skipLonely, skipHeld, skipMemo uint64
+		var skipFix, skipLonely, skipHeld uint64
 		var wk [introspect.NumWakeCauses]uint64
-		memoOn := !e.P.EagerCompute && !e.P.DisableMemo
 		for _, ent := range cdue[s] {
 			rec := &e.recs[ent.slot]
 			if rec.id != ent.id {
 				continue // defensive: wheels are maintained on removal
 			}
-			var preInbox uint64
-			havePre := false
-			if !e.P.EagerCompute {
-				if rec.armed && rec.n.Version() == rec.fixVer &&
-					(rec.quiet != core.QuietHeld || rec.n.Computes() < rec.holdExp) &&
-					senderVersEqual(rec.pending, rec.consumed) {
-					switch rec.quiet {
-					case core.QuietLonely:
-						rec.n.SkipLonelyRound()
-						skipLonely++
-					case core.QuietHeld:
-						rec.n.SkipHeldRound()
-						skipHeld++
-					default:
-						rec.n.SkipQuietRound()
-						skipFix++
-					}
-					rec.fixVer = rec.n.Version()
-					rec.pending = rec.pending[:0]
-					sc.skipped++
-					continue
+			if !e.P.EagerCompute && rec.armed && rec.n.Version() == rec.fixVer &&
+				(rec.quiet != core.QuietHeld || rec.n.Computes() < rec.holdExp) &&
+				senderVersEqual(rec.pending, rec.consumed) {
+				switch rec.quiet {
+				case core.QuietLonely:
+					rec.n.SkipLonelyRound()
+					skipLonely++
+				case core.QuietHeld:
+					rec.n.SkipHeldRound()
+					skipHeld++
+				default:
+					rec.n.SkipQuietRound()
+					skipFix++
 				}
-				// Content-aware second chance: the signature check failed —
-				// sender versions moved, the sender set changed, or the
-				// node's own last round was not quiet — but if the memo
-				// holds a proof that this exact (state content, inbox
-				// content) pair is a fixpoint, the round is a replay of a
-				// round already executed: a re-probe cycle oscillating the
-				// node (and its neighbors' broadcasts) through content it
-				// has visited before. The version-stamp gate fences off
-				// external state mutations (LoadState, PoisonBoundary bump
-				// the version past stateDigVer), and the hold-horizon gate
-				// keeps the replayed round's expiry filter a no-op — the
-				// compute counter, which the replay advances exactly like a
-				// real compute, can then never feed the expiry jitter: a
-				// proven-quiet round rejects nobody, so the jitter hash is
-				// unreachable (DESIGN.md §2i). The inbox digest is the
-				// read-masked projection (core.Node.InboxReadDigest):
-				// content only unread records carry — a double-marked
-				// mover's ticking clock echoed through a border node's
-				// broadcast — cannot break the match, and the equal state
-				// digest pins the mask itself, because the tracked-ID set
-				// it projects onto is part of the hashed state.
-				if memoOn && rec.seeded && rec.n.Version() == rec.stateDigVer {
-					if hh := rec.n.HoldHorizon(); hh == 0 || rec.n.Computes() < hh {
-						preInbox, havePre = rec.n.InboxReadDigest(), true
-						if rec.memoHit(rec.stateDig, preInbox) {
-							if hh == 0 {
-								rec.n.SkipQuietRound()
-								rec.quiet = core.QuietFixpoint
-							} else {
-								rec.n.SkipHeldRound()
-								rec.quiet = core.QuietHeld
-								rec.holdExp = hh
-							}
-							// The replayed round consumed this window's
-							// signature: swap it into consumed exactly as the
-							// executed path does, and re-arm — follow-up
-							// identical windows take the cheap path above.
-							rec.armed = true
-							rec.fixVer = rec.n.Version()
-							rec.pending, rec.consumed = rec.consumed[:0], rec.pending
-							skipMemo++
-							sc.skipped++
-							continue
-						}
-					}
-				}
+				rec.fixVer = rec.n.Version()
+				rec.pending = rec.pending[:0]
+				sc.skipped++
+				continue
 			}
 			// Wake attribution: classify which gate of the skip check broke
 			// before the compute disturbs the evidence. Every executed
@@ -1158,15 +1014,6 @@ func (e *Engine) FinishTick(ext []ExternalDelivery) {
 			if e.traceWakes {
 				sc.wakes = append(sc.wakes, introspect.WakeRec{Node: ent.id, Cause: cause, Sender: offender})
 			}
-			// Non-probed rounds deliberately do not capture an inbox
-			// digest for the memo: hashing the inbox of every executed
-			// compute costs more than the memo returns (most runs are
-			// self-active wakes that never produce a storable proof, and
-			// the prover round that re-enters quiescence needs none — its
-			// unchanged-window case is the signature skip's job). The memo
-			// seeds itself on the first re-probe instead: that round's
-			// probe above already paid for both digests, and when it
-			// executes and proves quiet, the pair is stored below.
 			rec.n.ComputeIn(&rec.bld)
 			rec.seeded = true
 			q := rec.n.RoundQuietness()
@@ -1182,30 +1029,6 @@ func (e *Engine) FinishTick(ext []ExternalDelivery) {
 				rec.pending = rec.pending[:0]
 			}
 			rec.fixVer = rec.n.Version()
-			// Fixpoint memo maintenance (skipped in the modes that never
-			// read it): refresh the cached state digest — the compute may
-			// have moved the state — and, when a *probed* round just proved
-			// itself a fixpoint of the inbox whose digest the probe
-			// captured, record the (state, inbox) content proof. Only
-			// probed rounds store; the others hold no pre-compute inbox
-			// digest and prove nothing worth one — lonely rounds move the
-			// state (the isolation clock ticks), QuietNone rounds likewise,
-			// and the first quiet round after real activity is the
-			// signature skip's case until the window churns, at which point
-			// the re-probe seeds the memo. A round that entered the too-far
-			// contest read priorities the masked inbox digest does not
-			// cover, so its proof would overclaim
-			// (core.Node.RoundOverflowed). Stale proofs for content the
-			// node has drifted away from stay in the table — they are
-			// facts, not caches, and the boundary oscillation this memo
-			// targets revisits them.
-			if memoOn {
-				rec.stateDig = rec.n.StateDigest()
-				rec.stateDigVer = rec.n.Version()
-				if havePre && (q == core.QuietFixpoint || q == core.QuietHeld) && !rec.n.RoundOverflowed() {
-					rec.memoStore(rec.stateDig, preInbox)
-				}
-			}
 			sc.ran++
 			if e.dirtyOn {
 				e.dirtyComputed[s] = append(e.dirtyComputed[s], ent.slot)
@@ -1217,7 +1040,6 @@ func (e *Engine) FinishTick(ext []ExternalDelivery) {
 		lane.Add(introspect.CtrSkipFixpoint, skipFix)
 		lane.Add(introspect.CtrSkipLonely, skipLonely)
 		lane.Add(introspect.CtrSkipHeld, skipHeld)
-		lane.Add(introspect.CtrSkipMemo, skipMemo)
 		for c, n := range wk {
 			lane.Add(introspect.WakeCause(c).Counter(), n)
 		}
@@ -1261,35 +1083,11 @@ func classifyWake(rec *nodeRec) (introspect.WakeCause, ident.NodeID) {
 	case rec.quiet == core.QuietHeld && rec.n.Computes() >= rec.holdExp:
 		return introspect.WakeHoldExpiry, ident.None
 	}
-	// Version-only churn first: when the whole signature keeps the same
-	// sender set (every id and incarnation pairwise equal) and only some
-	// versions moved, the round is exactly the shape the fixpoint memo
-	// covers — an executed compute here means the memo missed (or is
-	// disabled; classification reads the signatures only, never the memo
-	// table, so the histogram stays a pure deterministic function of the
-	// trace in every mode). The whole signature must be checked before
-	// the divergence walk below: stopping at the first differing version
-	// would misread a later set change as version-only churn.
-	p, c := rec.pending, rec.consumed
-	if len(p) == len(c) {
-		sameSet, firstVer := true, -1
-		for i := range p {
-			if p[i].id != c[i].id || p[i].gen != c[i].gen {
-				sameSet = false
-				break
-			}
-			if firstVer < 0 && p[i] != c[i] {
-				firstVer = i
-			}
-		}
-		if sameSet && firstVer >= 0 {
-			return introspect.WakeMemoMiss, p[firstVer].id
-		}
-	}
 	// Merge-walk the two sorted signatures for the first divergence: an
 	// entry pending has that consumed lacks (or carries at a different
 	// version) is fresh traffic; an entry only consumed has is a sender
 	// gone silent (departure, movement, or a stopped broadcast).
+	p, c := rec.pending, rec.consumed
 	i, j := 0, 0
 	for i < len(p) && j < len(c) {
 		switch {

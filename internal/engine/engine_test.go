@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -125,6 +126,27 @@ func TestParallelMatchesSequentialStatic(t *testing.T) {
 		if seq[r] != par[r] {
 			t.Fatalf("round %d diverges", r+1)
 		}
+	}
+}
+
+// TestSplitTickPhaseTimers pins the per-phase wall clock to engine
+// work in the split tick: time a distributed caller spends between
+// BuildPhase and FinishTick (the boundary exchange) must not be booked
+// to arbitrate, deliver or compute.
+func TestSplitTickPhaseTimers(t *testing.T) {
+	const gap = 50 * time.Millisecond
+	e := NewStatic(Params{Cfg: core.Config{Dmax: 3}, Seed: 1}, graph.Line(10))
+	for tick := 0; tick < 2; tick++ {
+		e.AdvancePhase()
+		if len(e.BuildPhase()) == 0 {
+			t.Fatalf("tick %d: no transmissions, arbitrate never timed", tick)
+		}
+		time.Sleep(gap)
+		e.FinishTick(nil)
+	}
+	ph := e.Introspect().Snapshot().PhaseNs
+	if finish := time.Duration(ph["arbitrate"] + ph["deliver"] + ph["compute"]); finish >= gap {
+		t.Fatalf("arbitrate+deliver+compute = %v over 2 ticks, includes the %v gap between BuildPhase and FinishTick", finish, gap)
 	}
 }
 

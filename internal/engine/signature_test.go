@@ -134,15 +134,15 @@ func TestClassifyWakeOffenders(t *testing.T) {
 			[]senderVer{sv(2, 1, 20), sv(5, 1, 10), sv(9, 1, 30)},
 		)
 		c, who := classifyWake(rec)
-		if c != introspect.WakeMemoMiss || who != 5 {
-			t.Fatalf("got (%v, %v), want (memo_miss, 5)", c, who)
+		if c != introspect.WakeInboxNew || who != 5 {
+			t.Fatalf("got (%v, %v), want (inbox_new, 5)", c, who)
 		}
 	})
 
 	t.Run("incarnation swap is fresh traffic, not version churn", func(t *testing.T) {
 		// Same sender set, same version values, one gen differs: a node
-		// left and came back with a restarted counter. This must never
-		// read as the memo-coverable shape.
+		// left and came back with a restarted counter, which is fresh
+		// traffic from that sender.
 		rec := wakeRec(
 			[]senderVer{sv(2, 1, 20), sv(5, 2, 10)},
 			[]senderVer{sv(2, 1, 20), sv(5, 1, 10)},

@@ -61,7 +61,7 @@ const (
 	CtrSkipFixpoint    // …as O(1) fixpoint replays
 	CtrSkipLonely      // …as O(1) lonely replays
 	CtrSkipHeld        // …as O(1) held replays (boundary memory in flight)
-	CtrSkipMemo        // …as O(1) memoized replays (content digest re-proved the fixpoint)
+	CtrSkipMemo        // never incremented: the fixpoint memo it counted was removed
 
 	// Wake attribution: why a full compute ran (one cause per compute;
 	// the block mirrors WakeCause — see classify in internal/engine).
@@ -69,7 +69,6 @@ const (
 	CtrWakeSelfActive  // its own previous round was not a no-op (not armed)
 	CtrWakeVersionBump // state version moved outside compute (LoadState, crash reload)
 	CtrWakeHoldExpiry  // boundary-memory hold horizon reached
-	CtrWakeMemoMiss    // signature churned in versions only, but no memo proof covered it
 	CtrWakeInboxNew    // inbox signature gained or changed a sender entry
 	CtrWakeInboxLost   // inbox signature lost a sender entry (silence, departure)
 	CtrWakeQuietReplay // skip-eligible round computed anyway (EagerCompute)
@@ -125,7 +124,6 @@ var counterNames = [NumCounters]string{
 	CtrWakeSelfActive:      "wakes_self_active",
 	CtrWakeVersionBump:     "wakes_version_bump",
 	CtrWakeHoldExpiry:      "wakes_hold_expiry",
-	CtrWakeMemoMiss:        "wakes_memo_miss",
 	CtrWakeInboxNew:        "wakes_inbox_new",
 	CtrWakeInboxLost:       "wakes_inbox_lost",
 	CtrWakeQuietReplay:     "wakes_quiet_replay",
@@ -173,13 +171,6 @@ const (
 	// WakeHoldExpiry: a held replay reached its boundary-memory horizon;
 	// the expiring round must run in full.
 	WakeHoldExpiry
-	// WakeMemoMiss: the inbox signature kept the same sender set (every
-	// id and incarnation matched) but some versions moved — exactly the
-	// shape the fixpoint memo covers — yet no stored proof matched the
-	// inbox content, so the round computed in full. Classification is a
-	// pure function of the two signatures (the memo table is never read),
-	// so the histogram stays bit-identical across modes and worker counts.
-	WakeMemoMiss
 	// WakeInboxNew: the inbox signature gained or changed a sender entry
 	// — fresh traffic, including a neighbor arriving through a topology
 	// or membership change (the dirty-row wakes of a mobile world).
@@ -200,7 +191,6 @@ var wakeNames = [NumWakeCauses]string{
 	WakeSelfActive:  "self_active",
 	WakeVersionBump: "version_bump",
 	WakeHoldExpiry:  "hold_expiry",
-	WakeMemoMiss:    "memo_miss",
 	WakeInboxNew:    "inbox_new",
 	WakeInboxLost:   "inbox_lost",
 	WakeQuietReplay: "quiet_replay",
