@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -716,7 +717,10 @@ func parkedEngineAt(workers int, eager bool, active float64) *engine.Engine {
 // computes by the flight recorder's attributed cause (self-activity vs
 // inbox traffic vs boundary-memory hold expiry). The attribution must
 // account for every executed compute, and the measured ticks must be
-// allocation-free — both asserted here.
+// allocation-free — both asserted here. liveB/node is the live heap
+// after a forced GC at the end of the timed window, per node: the whole
+// simulation's resident state divided by n (bench-trend puts a ceiling on
+// it, so per-node scratch cannot creep back into the node records).
 func BenchmarkParkedTick(b *testing.B) {
 	modes := []struct {
 		name  string
@@ -767,6 +771,11 @@ func BenchmarkParkedTick(b *testing.B) {
 				b.ReportMetric(frac("wakes_inbox_new", "wakes_inbox_lost"), "wakeinbox")
 				b.ReportMetric(frac("wakes_hold_expiry"), "wakehold")
 			}
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			b.ReportMetric(float64(ms.HeapAlloc)/float64(len(s.Nodes)), "liveB/node")
+			runtime.KeepAlive(s)
 		})
 	}
 }

@@ -29,6 +29,11 @@
 // quiet benchmark keeps the tight fixed threshold. The verdict line
 // prints both the floor and the effective gate.
 //
+// -min-metric and -max-metric bound custom metric columns absolutely:
+// each clause benchprefix:metric:limit fails the run when a benchmark
+// whose name starts with benchprefix reports the metric below (above)
+// limit, or does not report it at all.
+//
 // Exit status: 0 when no benchmark regressed (or history is still too
 // short to judge), 1 on regression, 2 on usage/IO errors. Records are
 // appended before the verdict, so a regressed run is still visible in
@@ -81,12 +86,17 @@ func main() {
 	noAppend := flag.Bool("check-only", false, "judge against history without appending")
 	useMedian := flag.Bool("median", false, "collapse repeated lines per benchmark (go test -count N) to their median ns/op before judging")
 	minMetric := flag.String("min-metric", "", "comma list of benchprefix:metric:floor — fail when a matching benchmark's reported metric is below floor or missing")
+	maxMetric := flag.String("max-metric", "", "comma list of benchprefix:metric:ceiling — fail when a matching benchmark's reported metric is above ceiling or missing")
 	promote := flag.Bool("phases", true, "promote ph_<name>_ns metrics (flight-recorder per-phase nanoseconds) to derived <bench>/phase:<name> records, judged and recorded like benchmarks of their own")
 	flag.Parse()
 
-	floors, err := parseMetricFloors(*minMetric)
+	floors, err := parseMetricBounds(*minMetric, false)
 	if err != nil {
 		fatal("bad -min-metric: %v", err)
+	}
+	ceilings, err := parseMetricBounds(*maxMetric, true)
+	if err != nil {
+		fatal("bad -max-metric: %v", err)
 	}
 
 	src := os.Stdin
@@ -145,9 +155,9 @@ func main() {
 		}
 	}
 
-	violations := checkMetricFloors(fresh, floors)
+	violations := checkMetricBounds(fresh, append(floors, ceilings...))
 	for _, v := range violations {
-		fmt.Println("FLOOR", v)
+		fmt.Println("BOUND", v)
 	}
 
 	if !*noAppend {
@@ -165,7 +175,7 @@ func main() {
 				degenerate)
 		}
 		if len(violations) > 0 {
-			fmt.Fprintf(os.Stderr, "benchtrend: %d metric floor violation(s)\n", len(violations))
+			fmt.Fprintf(os.Stderr, "benchtrend: %d metric bound violation(s)\n", len(violations))
 		}
 		os.Exit(1)
 	}
@@ -207,56 +217,71 @@ func promotePhases(recs []record) []record {
 	return out
 }
 
-// metricFloor is one -min-metric clause: every fresh benchmark whose name
-// starts with prefix must report metric at or above floor.
-type metricFloor struct {
+// metricBound is one -min-metric (floor) or -max-metric (ceiling)
+// clause: every fresh benchmark whose name starts with prefix must report
+// metric at or above (at or below) limit.
+type metricBound struct {
 	prefix, metric string
-	floor          float64
+	limit          float64
+	ceiling        bool
 }
 
-func parseMetricFloors(spec string) ([]metricFloor, error) {
+func (b metricBound) kind() string {
+	if b.ceiling {
+		return "ceiling"
+	}
+	return "floor"
+}
+
+func parseMetricBounds(spec string, ceiling bool) ([]metricBound, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	var out []metricFloor
+	var out []metricBound
 	for _, clause := range strings.Split(spec, ",") {
+		b := metricBound{ceiling: ceiling}
 		parts := strings.Split(strings.TrimSpace(clause), ":")
 		if len(parts) != 3 || parts[0] == "" || parts[1] == "" {
-			return nil, fmt.Errorf("%q is not benchprefix:metric:floor", clause)
+			return nil, fmt.Errorf("%q is not benchprefix:metric:%s", clause, b.kind())
 		}
-		floor, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil || math.IsNaN(floor) {
-			return nil, fmt.Errorf("%q: bad floor %q", clause, parts[2])
+		limit, err := strconv.ParseFloat(parts[2], 64)
+		if err != nil || math.IsNaN(limit) {
+			return nil, fmt.Errorf("%q: bad %s %q", clause, b.kind(), parts[2])
 		}
-		out = append(out, metricFloor{prefix: parts[0], metric: parts[1], floor: floor})
+		b.prefix, b.metric, b.limit = parts[0], parts[1], limit
+		out = append(out, b)
 	}
 	return out, nil
 }
 
-// checkMetricFloors enforces the -min-metric clauses against the fresh
-// records. A clause that matches no benchmark, a matching benchmark that
-// stopped reporting the metric, and a NaN value all violate: a floor
-// that silently stops measuring is indistinguishable from a pass.
-func checkMetricFloors(fresh []record, floors []metricFloor) []string {
+// checkMetricBounds enforces the -min-metric and -max-metric clauses
+// against the fresh records. A clause that matches no benchmark, a
+// matching benchmark that stopped reporting the metric, and a NaN value
+// all violate: a bound that silently stops measuring is indistinguishable
+// from a pass.
+func checkMetricBounds(fresh []record, bounds []metricBound) []string {
 	var out []string
-	for _, fl := range floors {
+	for _, b := range bounds {
 		matched := false
 		for _, r := range fresh {
-			if !strings.HasPrefix(r.Bench, fl.prefix) {
+			if !strings.HasPrefix(r.Bench, b.prefix) {
 				continue
 			}
 			matched = true
-			v, ok := r.Metrics[fl.metric]
+			v, ok := r.Metrics[b.metric]
 			if !ok {
-				out = append(out, fmt.Sprintf("%s: metric %q not reported (floor %g)", r.Bench, fl.metric, fl.floor))
+				out = append(out, fmt.Sprintf("%s: metric %q not reported (%s %g)", r.Bench, b.metric, b.kind(), b.limit))
 				continue
 			}
-			if !(v >= fl.floor) { // NaN fails too
-				out = append(out, fmt.Sprintf("%s: %s = %g below floor %g", r.Bench, fl.metric, v, fl.floor))
+			// Written so that NaN fails either way.
+			if b.ceiling && !(v <= b.limit) {
+				out = append(out, fmt.Sprintf("%s: %s = %g above ceiling %g", r.Bench, b.metric, v, b.limit))
+			} else if !b.ceiling && !(v >= b.limit) {
+				out = append(out, fmt.Sprintf("%s: %s = %g below floor %g", r.Bench, b.metric, v, b.limit))
 			}
 		}
 		if !matched {
-			out = append(out, fmt.Sprintf("no benchmark matches prefix %q (floor %s:%g)", fl.prefix, fl.metric, fl.floor))
+			out = append(out, fmt.Sprintf("no benchmark matches prefix %q (%s %s:%g)", b.prefix, b.kind(), b.metric, b.limit))
 		}
 	}
 	return out

@@ -72,7 +72,7 @@ func TestPromotePhasesNoPhases(t *testing.T) {
 }
 
 func TestMetricFloors(t *testing.T) {
-	floors, err := parseMetricFloors("BenchmarkParkedTick/skip:skipfrac:0.7,BenchmarkParkedTick/skip:memofrac:0.03")
+	floors, err := parseMetricBounds("BenchmarkParkedTick/skip:skipfrac:0.7,BenchmarkParkedTick/skip:memofrac:0.03", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,31 +80,93 @@ func TestMetricFloors(t *testing.T) {
 		{Bench: "BenchmarkParkedTick/skip-4workers", Metrics: map[string]float64{"skipfrac": 0.766, "memofrac": 0.072}},
 		{Bench: "BenchmarkParkedTick/eager-4workers", Metrics: map[string]float64{"skipfrac": 0}},
 	}
-	if v := checkMetricFloors(fresh, floors); len(v) != 0 {
+	if v := checkMetricBounds(fresh, floors); len(v) != 0 {
 		t.Errorf("healthy run violated floors: %v", v)
 	}
 
 	// Below the floor, metric gone missing, and no benchmark matching the
 	// prefix at all — each must violate, never silently pass.
 	low := []record{{Bench: "BenchmarkParkedTick/skip-4workers", Metrics: map[string]float64{"skipfrac": 0.5, "memofrac": 0.072}}}
-	if v := checkMetricFloors(low, floors); len(v) != 1 {
+	if v := checkMetricBounds(low, floors); len(v) != 1 {
 		t.Errorf("below-floor run: %d violations, want 1: %v", len(v), v)
 	}
 	gone := []record{{Bench: "BenchmarkParkedTick/skip-4workers", Metrics: map[string]float64{"skipfrac": 0.766}}}
-	if v := checkMetricFloors(gone, floors); len(v) != 1 {
+	if v := checkMetricBounds(gone, floors); len(v) != 1 {
 		t.Errorf("missing-metric run: %d violations, want 1: %v", len(v), v)
 	}
-	if v := checkMetricFloors([]record{{Bench: "BenchmarkOther"}}, floors); len(v) != 2 {
+	if v := checkMetricBounds([]record{{Bench: "BenchmarkOther"}}, floors); len(v) != 2 {
 		t.Errorf("unmatched prefix: %d violations, want 2: %v", len(v), v)
 	}
 	nan := []record{{Bench: "BenchmarkParkedTick/skip-4workers", Metrics: map[string]float64{"skipfrac": math.NaN(), "memofrac": 0.072}}}
-	if v := checkMetricFloors(nan, floors); len(v) != 1 {
+	if v := checkMetricBounds(nan, floors); len(v) != 1 {
 		t.Errorf("NaN metric: %d violations, want 1: %v", len(v), v)
 	}
 
 	for _, bad := range []string{"nonsense", "a:b", "a:b:x", "::1", "a::1"} {
-		if _, err := parseMetricFloors(bad); err == nil {
-			t.Errorf("parseMetricFloors(%q) accepted a malformed clause", bad)
+		if _, err := parseMetricBounds(bad, false); err == nil {
+			t.Errorf("parseMetricBounds(%q) accepted a malformed clause", bad)
+		}
+	}
+}
+
+func TestMetricCeilings(t *testing.T) {
+	ceilings, err := parseMetricBounds("BenchmarkParkedTick/skip:liveB/node:5000", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := func(v float64) []record {
+		return []record{
+			{Bench: "BenchmarkParkedTick/skip-4workers", Metrics: map[string]float64{"liveB/node": v}},
+			{Bench: "BenchmarkParkedTick/eager-4workers", Metrics: map[string]float64{"liveB/node": 9999}},
+		}
+	}
+	// The metric survives go test's output format, slash and all.
+	parsed, err := parseBench(strings.NewReader(
+		"BenchmarkParkedTick/skip-4workers-2   3   118000000 ns/op   0.62 skipfrac   4200 liveB/node\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := checkMetricBounds(parsed, ceilings); len(v) != 0 {
+		t.Errorf("parsed healthy run violated ceilings: %v (records %+v)", v, parsed)
+	}
+	if v := checkMetricBounds(rec(4200), ceilings); len(v) != 0 {
+		t.Errorf("healthy run violated ceilings: %v", v)
+	}
+	if v := checkMetricBounds(rec(5000), ceilings); len(v) != 0 {
+		t.Errorf("run at the ceiling violated it: %v", v)
+	}
+
+	// Above the ceiling, metric gone missing, NaN, and no benchmark
+	// matching the prefix at all — each must violate, never silently pass.
+	if v := checkMetricBounds(rec(5001), ceilings); len(v) != 1 || !strings.Contains(v[0], "above ceiling") {
+		t.Errorf("above-ceiling run: violations %v, want one above ceiling", v)
+	}
+	if v := checkMetricBounds(rec(math.NaN()), ceilings); len(v) != 1 {
+		t.Errorf("NaN metric: %d violations, want 1: %v", len(v), v)
+	}
+	gone := []record{{Bench: "BenchmarkParkedTick/skip-4workers", Metrics: map[string]float64{"skipfrac": 0.7}}}
+	if v := checkMetricBounds(gone, ceilings); len(v) != 1 {
+		t.Errorf("missing-metric run: %d violations, want 1: %v", len(v), v)
+	}
+	if v := checkMetricBounds([]record{{Bench: "BenchmarkOther"}}, ceilings); len(v) != 1 {
+		t.Errorf("unmatched prefix: %d violations, want 1: %v", len(v), v)
+	}
+
+	// Floors and ceilings judged together each keep their own direction.
+	floors, err := parseMetricBounds("BenchmarkParkedTick/skip:liveB/node:4000", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := checkMetricBounds(rec(4200), append(floors, ceilings...)); len(v) != 0 {
+		t.Errorf("run inside [floor, ceiling] violated: %v", v)
+	}
+	if v := checkMetricBounds(rec(3000), append(floors, ceilings...)); len(v) != 1 || !strings.Contains(v[0], "below floor") {
+		t.Errorf("below-floor run: violations %v, want one below floor", v)
+	}
+
+	for _, bad := range []string{"nonsense", "a:b", "a:b:x", "::1", "a::1", "a:b:NaN"} {
+		if _, err := parseMetricBounds(bad, true); err == nil {
+			t.Errorf("parseMetricBounds(%q, ceiling) accepted a malformed clause", bad)
 		}
 	}
 }

@@ -7,8 +7,9 @@ import "repro/internal/ident"
 // double-buffered entry arenas with no per-operation allocation, and a
 // single commit-time copy (List.Publish on the final View) produces the
 // immutable list a node stores and broadcasts — which itself degenerates to
-// zero copies when the round left the list unchanged. Drivers recycle one
-// Builder per node (the engine keeps it on the node's record); a Builder
+// zero copies when the round left the list unchanged. A Builder carries
+// nothing from one round to the next, so drivers recycle one per worker
+// (core.Workspace embeds it; the engine keeps one per shard); a Builder
 // must not be used from two goroutines at once.
 //
 // The merge semantics replicate the nested reference operators (RefList in

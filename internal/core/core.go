@@ -17,24 +17,27 @@
 // The output used by applications is View: the composition of the node's
 // group.
 //
-// The compute phase is allocation-light: the round's checked senders live
-// in slice-backed scratch reused across computes (never maps rebuilt per
-// round), priority learning reads the flat Message.Recs records instead
-// of per-message maps, the view/quarantine maps are double-buffered, and
-// the ancestor-list fold composes inside a recycled antlist.Builder arena
-// — a single commit-time copy publishes the immutable list, and a round
-// that leaves the list unchanged publishes nothing at all (see ComputeIn).
-// What may be retained across rounds is exactly the state whose content
-// the protocol defines (list, view, quarantine, priority caches) plus
-// scratch that is fully overwritten before use; everything reachable from
-// an emitted Message is immutable. The pre-rewrite map-based paths are
-// retained in reference.go as a differential oracle (see SelfCheck).
+// The compute phase is allocation-light: every per-round temporary (the
+// round's checked senders, the heard quarantines, the next view,
+// quarantine and priority caches, and the antlist.Builder arena the
+// ancestor-list fold composes in) lives in a Workspace the driver
+// supplies and reuses across computes and across nodes. The results are
+// compared with the node's live state and copied in only when they moved,
+// and a round that leaves the list unchanged publishes nothing at all
+// (see ComputeIn). A Node therefore retains exactly the state the
+// protocol carries from one round to the next (list, view, quarantine,
+// priority caches, boundary memory, streaks, and the message set); the
+// message set holds references to received broadcasts, and everything
+// reachable from an emitted Message is immutable. The pre-rewrite
+// map-based paths are retained in reference.go as a differential oracle
+// (see SelfCheck).
 package core
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/antlist"
 	"repro/internal/ident"
@@ -199,14 +202,15 @@ type Node struct {
 	// view and quar are group-sized and consulted constantly, so they are
 	// sorted slices, not maps: a linear probe with early exit beats a map
 	// at these sizes, and the per-compute rebuild is an append-and-sort
-	// into a recycled buffer instead of a map churn.
+	// in the workspace instead of a map churn, copied in here only when
+	// the content moved.
 	view     []ident.NodeID // ascending
 	quar     []quarEntry    // ascending by id
 	prios    []prec         // node-priority cache, ascending by id
 	gprs     []prec         // group-priority cache, ascending by id
 	self     priority.P
 	group    priority.P
-	msgSet   []Message     // one buffered message per sender (last wins)
+	msgSet   []*Message    // one buffered broadcast per sender (last wins)
 	rejected []rejEntry    // boundary memory
 	streak   []streakEntry // consecutive incompatibility observations
 	synced   bool          // one-time clock sync at first contact done
@@ -224,23 +228,30 @@ type Node struct {
 	quiet         Quietness
 	streakMoved   bool
 	rejectedMoved bool
-
-	// Per-node scratch reused across computes (never escapes): the view
-	// and quarantine double-buffers swap with the live slices each round;
-	// incsBuf holds the round's checked senders in preference order (the
-	// former workBuf map, now slice-backed: the map rebuild and the
-	// per-sender box were the protocol's top allocation sites at scale);
-	// heardBuf collects the round's inherited quarantines; bld is the
-	// fallback fold arena for drivers that call Compute instead of
-	// handing in their own recycled builder via ComputeIn.
-	viewSpare  []ident.NodeID
-	quarSpare  []quarEntry
-	priosSpare []prec
-	gprsSpare  []prec
-	incsBuf    []incoming
-	heardBuf   []heardRec
-	bld        antlist.Builder
 }
+
+// Workspace holds every per-round temporary of ComputeIn: the fold arena,
+// the round's checked senders in preference order, the heard quarantines,
+// and the next view, quarantine and priority caches before they are
+// compared with (and, when they moved, copied into) the node's live
+// state. Nothing in it survives a round: ComputeIn overwrites each buffer
+// before reading it, so one Workspace serves any number of nodes in turn
+// — a driver keeps one per worker (the engine one per shard, the live
+// runtime one per node goroutine) instead of one per node. A Workspace
+// must not be used from two goroutines at once. The zero value is ready
+// to use.
+type Workspace struct {
+	bld   antlist.Builder
+	incs  []incoming
+	heard []heardRec
+	view  []ident.NodeID
+	quar  []quarEntry
+	prios []prec
+	gprs  []prec
+}
+
+// workspaces backs Compute, for drivers that do not keep their own.
+var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
 
 // prioOf looks u up in the node-priority cache.
 func (n *Node) prioOf(u ident.NodeID) (priority.P, bool) { return precGet(n.prios, u) }
@@ -437,7 +448,7 @@ func (n *Node) SkipLonelyRound() {
 	clear(n.msgSet)
 	n.msgSet = n.msgSet[:0]
 	n.self = n.self.Tick()
-	n.storeSelfPrio()
+	n.prios = setPrio(n.prios, n.id, n.self)
 	n.group = n.self
 	n.version++
 }
@@ -566,31 +577,32 @@ func (n *Node) PoisonBoundary(u ident.NodeID, holdComputes uint64) {
 // observability for the fault experiments that poison them.
 func (n *Node) BoundaryHolds() int { return len(n.rejected) }
 
-// viewEqual reports whether two ascending view slices have identical
-// membership.
-func viewEqual(a, b []ident.NodeID) bool { return slices.Equal(a, b) }
-
 // Receive stores a neighbor's message. Only the last message per sender is
 // kept (one-message channel); self-messages are ignored. The buffer is a
 // small slice scanned linearly — sender counts are node degrees, where
-// the scan beats the map the seed used.
+// the scan beats the map the seed used. The message header is copied, so
+// the caller may reuse m; its List and Recs are shared, and like every
+// broadcast they must not be mutated afterwards.
 func (n *Node) Receive(m Message) { n.ReceiveRef(&m) }
 
-// ReceiveRef is Receive without the by-value argument copy: the message
-// is only copied into the buffer on store. Hot delivery paths (the
-// engine delivers a few hundred thousand receptions per tick, each from
-// a long-lived cached broadcast) call this directly.
+// ReceiveRef is Receive by reference: the buffer keeps m itself, not a
+// copy, until the next compute boundary consumes it or a later message
+// from the same sender replaces it. The caller must therefore leave *m
+// unchanged for that long — a driver that rebuilds a broadcast allocates
+// a fresh Message instead of overwriting the one it delivered. Hot
+// delivery paths (the engine delivers a few hundred thousand receptions
+// per tick, each from a long-lived cached broadcast) call this directly.
 func (n *Node) ReceiveRef(m *Message) {
 	if m.From == n.id || m.From == ident.None {
 		return
 	}
 	for i := range n.msgSet {
 		if n.msgSet[i].From == m.From {
-			n.msgSet[i] = *m
+			n.msgSet[i] = m
 			return
 		}
 	}
-	n.msgSet = append(n.msgSet, *m)
+	n.msgSet = append(n.msgSet, m)
 }
 
 // PendingMessages returns how many distinct senders are buffered (used by
@@ -663,7 +675,7 @@ func (n *Node) BuildMessage() Message {
 // incoming is one checked entry of the message set during a computation.
 type incoming struct {
 	list antlist.List
-	msg  Message
+	msg  *Message
 }
 
 // prefCmp is Compute's stable preference order over received messages:
@@ -692,22 +704,24 @@ func (n *Node) prefCmp(x, y *Message) int {
 }
 
 // Compute runs procedure compute() of §4.3 and then resets the message
-// buffer (line 5 of the main algorithm), folding in the node's own arena
-// builder. Drivers that recycle a builder per node record (the engine)
-// call ComputeIn instead.
-func (n *Node) Compute() { n.ComputeIn(nil) }
+// buffer (line 5 of the main algorithm), in a workspace borrowed from a
+// shared pool. Drivers that keep a workspace per worker (the engine, the
+// live runtime) call ComputeIn instead.
+func (n *Node) Compute() {
+	w := workspaces.Get().(*Workspace)
+	n.ComputeIn(w)
+	workspaces.Put(w)
+}
 
-// ComputeIn is Compute with the fold arena supplied by the caller: the
-// whole ⊕ fold composes inside b (reset here; its previous content is
-// irrelevant), and only the commit at the end copies the result out — a
-// round that reproduces the current list byte for byte keeps the existing
-// allocation and, when nothing else observable moved either, leaves the
-// node's Version untouched so drivers keep their cached broadcast. A nil
-// builder uses the node's own.
-func (n *Node) ComputeIn(b *antlist.Builder) {
-	if b == nil {
-		b = &n.bld
-	}
+// ComputeIn is Compute with the round's temporaries in w (see Workspace;
+// its previous content, whichever node left it, is irrelevant). The whole
+// ⊕ fold composes inside w's builder, and only the commit at the end
+// copies results into the node — a round that reproduces the current
+// list, view, quarantine and priority caches byte for byte copies
+// nothing, keeps the existing allocations and leaves the node's Version
+// untouched, so drivers keep their cached broadcast.
+func (n *Node) ComputeIn(w *Workspace) {
+	b := &w.bld
 	n.computes++
 	dmax := n.cfg.Dmax
 	oldSelf, oldGroup := n.self, n.group
@@ -725,12 +739,12 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 	// instead of an arbitrary choice that can flip between rounds and
 	// keep the network in metastable partitions. The fold itself (⊕) is
 	// order-independent.
-	incs := n.incsBuf[:0]
-	for i := range n.msgSet {
-		incs = append(incs, incoming{msg: n.msgSet[i]})
+	incs := w.incs[:0]
+	for _, m := range n.msgSet {
+		incs = append(incs, incoming{msg: m})
 	}
 	slices.SortFunc(incs, func(x, y incoming) int {
-		return n.prefCmp(&x.msg, &y.msg)
+		return n.prefCmp(x.msg, y.msg)
 	})
 	// Expire boundary memory (in-place filter; empty at steady state of an
 	// interior node, stable under an active hold at a group boundary).
@@ -755,10 +769,10 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 	// incompatible senders — this is what lets a lone node bridging two
 	// far-apart groups side with one of them instead of absorbing both
 	// and being punished by each in turn. The partial fold lives in the
-	// recycled builder arena; b.View() is a zero-copy read of it.
+	// workspace's builder arena; b.View() is a zero-copy read of it.
 	b.BeginRound(ident.Plain(n.id))
 	for i := range incs {
-		msg := &incs[i].msg
+		msg := incs[i].msg
 		u := msg.From
 		lu := n.cleanReceived(b, msg.List)
 		switch {
@@ -832,14 +846,15 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 	if n.SelfCheck {
 		refPrios, refGprs = precMap(n.prios), precMap(n.gprs)
 	}
-	n.learnPriorities(newList, incs)
+	np, ng := n.learnPriorities(w, newList, incs)
 	if n.SelfCheck {
-		n.checkRefLearnPriorities(newList, incs, refPrios, refGprs)
+		n.checkRefLearnPriorities(newList, incs, np, ng, refPrios, refGprs)
 	}
 
 	// Line 30: update quarantines. The quarantine clock of a node starts
 	// when it first appears *plain* (marked entries are not propagated, so
 	// the group learns about the newcomer only from then on).
+	var nq []quarEntry
 	if !n.cfg.DisableQuarantine {
 		// The smallest remaining quarantine heard per node this round
 		// (inheritance; see the Quar record), plus the reverse direction:
@@ -849,9 +864,9 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 		// quarantine) syncs to the same k, and both sides' views flip in
 		// the same round. The fold is a min, so the slice-backed scratch
 		// (empty at steady state) replays the former map bit for bit.
-		heard := n.heardBuf[:0]
+		heard := w.heard[:0]
 		for i := range incs {
-			msg := &incs[i].msg
+			msg := incs[i].msg
 			selfQ := int32(-1)
 			for _, r := range msg.Recs {
 				if r.Quar >= 0 {
@@ -870,11 +885,11 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 				}
 			}
 		}
-		n.heardBuf = heard
+		w.heard = heard
 		// The new quarantine slice is appended in list order (each node
 		// appears once in a normalized fold), the self entry forced to 0,
 		// then sorted — same content the former map rebuild produced.
-		nq := n.quarSpare[:0]
+		nq = w.quar[:0]
 		selfAt := -1
 		for _, e := range newList.Entries() {
 			if e.Mark.Marked() {
@@ -906,10 +921,8 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 			nq = append(nq, quarEntry{id: n.id})
 		}
 		slices.SortFunc(nq, func(a, b quarEntry) int { return cmp.Compare(a.id, b.id) })
-		n.quarSpare = n.quar
-		n.quar = nq
 	} else {
-		nq := n.quarSpare[:0]
+		nq = w.quar[:0]
 		self := false
 		for _, e := range newList.Entries() {
 			if e.ID == n.id {
@@ -922,21 +935,21 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 		}
 		slices.SortFunc(nq, func(a, b quarEntry) int { return cmp.Compare(a.id, b.id) })
 		nq = slices.CompactFunc(nq, func(a, b quarEntry) bool { return a.id == b.id })
-		n.quarSpare = n.quar
-		n.quar = nq
 	}
+	w.quar = nq
 
 	// Line 31: the view is the plain-marked nodes with null quarantine.
-	nv := n.viewSpare[:0]
+	nv := w.view[:0]
 	for _, e := range newList.Entries() {
 		if !e.Mark.Marked() && e.ID != n.id {
-			if q, _ := quarGet(n.quar, e.ID); q == 0 {
+			if q, _ := quarGet(nq, e.ID); q == 0 {
 				nv = append(nv, e.ID)
 			}
 		}
 	}
 	nv = append(nv, n.id)
 	slices.Sort(nv)
+	w.view = nv
 
 	// Line 32: priorities increase only while the node is not in a group.
 	// "Not in a group" is read as *hearing nobody*: the clock ages while
@@ -969,31 +982,44 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 			n.synced = true
 		}
 	}
-	n.storeSelfPrio()
-
-	// Commit: publish the fold out of the builder arena. A round that
-	// reproduced the current list keeps the existing allocation (the
-	// steady state of every settled group — the commit-time copy happens
-	// only when the list actually moved).
-	listChanged := !newList.Equal(n.list)
-	if listChanged {
-		n.list = newList.Clone()
-	}
-	viewChanged := !viewEqual(nv, n.view)
-	if viewChanged {
-		n.viewVer++
-	}
-	n.viewSpare = n.view
-	n.view = nv
+	np = setPrio(np, n.id, n.self)
+	w.prios = np
 
 	// Group priority: the smallest priority of the view's members.
 	gp := n.self
 	for _, u := range nv {
-		if p, ok := n.prioOf(u); ok {
+		if p, ok := precGet(np, u); ok {
 			gp = gp.Min(p)
 		}
 	}
 	n.group = gp
+
+	// Commit: publish the round's results out of the workspace. Each
+	// piece is compared with the node's live state and copied in only
+	// when it moved — the steady state of every settled group copies
+	// nothing, and the list (a view of the builder arena until here) is
+	// cloned only when it changed.
+	listChanged := !newList.Equal(n.list)
+	if listChanged {
+		n.list = newList.Clone()
+	}
+	viewChanged := !slices.Equal(nv, n.view)
+	if viewChanged {
+		n.viewVer++
+		n.view = append(n.view[:0], nv...)
+	}
+	quarSame := slices.Equal(nq, n.quar)
+	if !quarSame {
+		n.quar = append(n.quar[:0], nq...)
+	}
+	priosSame := slices.Equal(np, n.prios)
+	if !priosSame {
+		n.prios = append(n.prios[:0], np...)
+	}
+	gprsSame := slices.Equal(ng, n.gprs)
+	if !gprsSame {
+		n.gprs = append(n.gprs[:0], ng...)
+	}
 
 	// Line 5 of the main algorithm: reset msgSet to detect departures.
 	// The buffers are truncated with their elements zeroed, so retired
@@ -1001,19 +1027,15 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 	clear(n.msgSet)
 	n.msgSet = n.msgSet[:0]
 	clear(incs)
-	n.incsBuf = incs[:0]
+	w.incs = incs[:0]
 
 	// Version moves only when the observable state did: every output of
 	// BuildMessage, View and List is a pure function of (list, view,
 	// quarantine, priority caches, self, group), so an unchanged round —
 	// the steady state — leaves the version alone and drivers keep serving
-	// their cached broadcast without re-assembling it. The double-buffer
-	// spares still hold the pre-round content, which makes the change
-	// checks plain slice compares.
-	quarSame := slices.Equal(n.quar, n.quarSpare)
-	gprsSame := slices.Equal(n.gprs, n.gprsSpare)
+	// their cached broadcast without re-assembling it.
 	versionMoved := listChanged || viewChanged || n.self != oldSelf || n.group != oldGroup ||
-		!quarSame || !slices.Equal(n.prios, n.priosSpare) || !gprsSame
+		!quarSame || !priosSame || !gprsSame
 	if versionMoved {
 		n.version++
 	}
@@ -1047,16 +1069,18 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 	}
 }
 
-// storeSelfPrio pins the node's own entry in the priority cache.
-func (n *Node) storeSelfPrio() {
-	for i := range n.prios {
-		if n.prios[i].id == n.id {
-			n.prios[i].p = n.self
-			return
+// setPrio stores (id, p) in an ascending prec slice (pinning a node's own
+// entry in its priority cache).
+func setPrio(s []prec, id ident.NodeID, p priority.P) []prec {
+	for i := range s {
+		if s[i].id == id {
+			s[i].p = p
+			return s
 		}
 	}
-	n.prios = append(n.prios, prec{id: n.id, p: n.self})
-	slices.SortFunc(n.prios, func(a, b prec) int { return cmp.Compare(a.id, b.id) })
+	s = append(s, prec{id: id, p: p})
+	slices.SortFunc(s, func(a, b prec) int { return cmp.Compare(a.id, b.id) })
+	return s
 }
 
 // heardMin folds (id → min q) into the heard scratch.
@@ -1447,12 +1471,13 @@ func holeTruncate(l antlist.List) antlist.List {
 // advertised position carried in the record — the map-based original
 // (retained in reference.go as the oracle) probed three maps and
 // re-scanned the sender's list for the position on every lookup. The
-// caches are rebuilt into recycled spare buffers keyed by the new list's
+// caches are rebuilt into the workspace's buffers keyed by the new list's
 // node set, which replaces the old update-then-prune map walk with
-// appends and one small sort.
-func (n *Node) learnPriorities(newList antlist.List, incs []incoming) {
-	np := n.priosSpare[:0]
-	ng := n.gprsSpare[:0]
+// appends and one small sort; the node's live caches are left for the
+// commit at the end of ComputeIn.
+func (n *Node) learnPriorities(w *Workspace, newList antlist.List, incs []incoming) (np, ng []prec) {
+	np = w.prios[:0]
+	ng = w.gprs[:0]
 	selfSeen := false
 	for i := 0; i < newList.Len(); i++ {
 		for _, e := range newList.At(i) {
@@ -1516,10 +1541,8 @@ func (n *Node) learnPriorities(newList antlist.List, incs []incoming) {
 	byID := func(a, b prec) int { return cmp.Compare(a.id, b.id) }
 	slices.SortFunc(np, byID)
 	slices.SortFunc(ng, byID)
-	n.priosSpare = n.prios
-	n.gprsSpare = n.gprs
-	n.prios = np
-	n.gprs = ng
+	w.prios, w.gprs = np, ng
+	return np, ng
 }
 
 // String summarizes the node for debugging.

@@ -318,7 +318,8 @@ func TestDoubleMarkedSelfIsRejectedOnReception(t *testing.T) {
 	// ignorance (Proposition 3).
 	n := NewNode(1, Config{Dmax: 3})
 	l := antlist.FromSets(antlist.NewSet(ident.Plain(2)), antlist.NewSet(ident.Double(1), ident.Plain(3)))
-	cleaned := n.cleanReceived(&n.bld, l)
+	var w Workspace
+	cleaned := n.cleanReceived(&w.bld, l)
 	if cleaned.Has(1) {
 		t.Fatal("double-marked self must be deleted")
 	}

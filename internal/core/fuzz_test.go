@@ -4,11 +4,14 @@ package core_test
 // decoded as a wire frame (the codec rejects malformed frames — frames
 // that parse are the protocol's actual attack surface), fed through
 // Receive and Compute with the SelfCheck reference oracle armed, and the
-// node's own broadcast is round-tripped through the codec. The node must
+// node's own broadcast is round-tripped through the codec. Two nodes share
+// one compute workspace throughout, and a third computes the same input
+// through the pooled Compute path as a reference. The node must
 // never panic, never break its structural invariants, and its broadcast
 // must survive encode/decode semantically intact.
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -38,10 +41,23 @@ func FuzzReceiveComputeBuildRoundTrip(f *testing.F) {
 		if err != nil {
 			return // malformed frame: rejected before the protocol sees it
 		}
+		// Two nodes take turns in one shared workspace, as the nodes of an
+		// engine shard do; ref computes the same inputs as n through the
+		// pooled Compute path and must end up identical.
+		var ws core.Workspace
 		n := core.NewNode(1, core.Config{Dmax: 3})
-		n.SelfCheck = true // cross-validate against the reference oracle
-		n.Receive(m)
-		n.Compute()
+		peer := core.NewNode(2, core.Config{Dmax: 3})
+		ref := core.NewNode(1, core.Config{Dmax: 3})
+		for _, x := range []*core.Node{n, peer, ref} {
+			x.SelfCheck = true // cross-validate against the reference oracle
+			x.Receive(m)
+		}
+		n.ComputeIn(&ws)
+		peer.ComputeIn(&ws)
+		ref.Compute()
+		if !bytes.Equal(wire.Encode(n.BuildMessage()), wire.Encode(ref.BuildMessage())) || n.Version() != ref.Version() {
+			t.Fatalf("shared workspace diverged: %v vs %v", n, ref)
+		}
 
 		// Structural invariants must hold whatever the frame contained.
 		if !n.InView(1) {
@@ -84,7 +100,9 @@ func FuzzReceiveComputeBuildRoundTrip(f *testing.F) {
 
 		// A second compute with no traffic detects the departure and
 		// shrinks back to a singleton — and must keep the oracle happy.
-		n.Compute()
+		peer.Receive(out)
+		peer.ComputeIn(&ws)
+		n.ComputeIn(&ws)
 		if got := n.View(); len(got) != 1 || got[0] != 1 {
 			t.Fatalf("silent round must shrink to singleton, got %v", got)
 		}
@@ -94,6 +112,8 @@ func FuzzReceiveComputeBuildRoundTrip(f *testing.F) {
 		spoof := out
 		spoof.From = ident.NodeID(2)
 		n.Receive(spoof)
-		n.Compute()
+		n.ComputeIn(&ws)
+		peer.Receive(spoof)
+		peer.ComputeIn(&ws)
 	})
 }

@@ -23,8 +23,9 @@ import (
 // list position carried inline so receivers never re-scan the list for
 // it. Both the message and everything it references are immutable once
 // built — BuildMessage shares the sender's own list rather than cloning
-// it, and drivers cache and share messages between computes (see
-// Node.Version).
+// it, drivers cache and share messages between computes (see
+// Node.Version), and receivers buffer them by reference (see
+// Node.ReceiveRef).
 type Message struct {
 	From      ident.NodeID
 	List      antlist.List
@@ -56,8 +57,9 @@ type PrioRec struct {
 // position) and whether one exists. A linear scan over the ascending
 // slice beats a binary search at protocol record counts (a handful of
 // entries — one group's worth of nodes); the early exit keeps misses
-// cheap too.
-func (m Message) Rec(id ident.NodeID) (PrioRec, bool) {
+// cheap too. The pointer receiver spares the hot lookups in
+// learnPriorities a copy of the message header per call.
+func (m *Message) Rec(id ident.NodeID) (PrioRec, bool) {
 	for i := range m.Recs {
 		switch {
 		case m.Recs[i].ID == id:

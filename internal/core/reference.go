@@ -100,8 +100,9 @@ func (n *Node) checkRefMessage(m Message) {
 }
 
 // checkRefLearnPriorities replays the map-based learnPriorities over the
-// pre-round cache snapshots and asserts the node's live caches match.
-func (n *Node) checkRefLearnPriorities(newList antlist.List, incs []incoming, prevPrios, prevGprs map[ident.NodeID]priority.P) {
+// pre-round cache snapshots and asserts that the round's new caches (np,
+// ng) match.
+func (n *Node) checkRefLearnPriorities(newList antlist.List, incs []incoming, np, ng []prec, prevPrios, prevGprs map[ident.NodeID]priority.P) {
 	msgs := make(map[ident.NodeID]refMessage, len(incs))
 	for i := range incs {
 		m := incs[i].msg
@@ -112,11 +113,11 @@ func (n *Node) checkRefLearnPriorities(newList antlist.List, incs []incoming, pr
 		}
 	}
 	refLearnPriorities(n.id, n.self, newList, msgs, prevPrios, prevGprs)
-	if !prioMapsEqual(precMap(n.prios), prevPrios) {
-		panic(fmt.Sprintf("core: SelfCheck learnPriorities prios diverged at %v (c%d): %v vs ref %v", n.id, n.computes, n.prios, prevPrios))
+	if !prioMapsEqual(precMap(np), prevPrios) {
+		panic(fmt.Sprintf("core: SelfCheck learnPriorities prios diverged at %v (c%d): %v vs ref %v", n.id, n.computes, np, prevPrios))
 	}
-	if !prioMapsEqual(precMap(n.gprs), prevGprs) {
-		panic(fmt.Sprintf("core: SelfCheck learnPriorities gprs diverged at %v (c%d): %v vs ref %v", n.id, n.computes, n.gprs, prevGprs))
+	if !prioMapsEqual(precMap(ng), prevGprs) {
+		panic(fmt.Sprintf("core: SelfCheck learnPriorities gprs diverged at %v (c%d): %v vs ref %v", n.id, n.computes, ng, prevGprs))
 	}
 }
 
@@ -200,4 +201,3 @@ func quarMapsEqual(a, b map[ident.NodeID]int) bool {
 	}
 	return true
 }
-

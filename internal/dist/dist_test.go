@@ -463,6 +463,82 @@ func TestTCPSetupDeadline(t *testing.T) {
 	}
 }
 
+// TestTCPExchangeDeadline pins the per-exchange bound: a peer that
+// completes the mesh setup and then never sends, or sends a truncated
+// frame and stalls, fails Exchange within tcpExchangeTimeout with an
+// error naming the stalled shard and the seq, instead of hanging the
+// barrier forever.
+func TestTCPExchangeDeadline(t *testing.T) {
+	defer func(d time.Duration) { tcpExchangeTimeout = d }(tcpExchangeTimeout)
+	tcpExchangeTimeout = 300 * time.Millisecond
+
+	for _, tc := range []struct {
+		name string
+		// peer joins the mesh as shard 1 and misbehaves; it returns what
+		// must be closed once the test is done.
+		peer func(t *testing.T, addrs []string) io.Closer
+	}{
+		{"silent peer", func(t *testing.T, addrs []string) io.Closer {
+			tr, err := DialTCP(1, addrs)
+			if err != nil {
+				t.Error(err)
+				return io.NopCloser(nil)
+			}
+			return tr
+		}},
+		{"truncated frame", func(t *testing.T, addrs []string) io.Closer {
+			var c net.Conn
+			var err error
+			for i := 0; i < 100; i++ {
+				if c, err = net.Dial("tcp", addrs[0]); err == nil {
+					break
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if err != nil {
+				t.Error(err)
+				return io.NopCloser(nil)
+			}
+			// Hello as shard 1, then a seq-0 header announcing 100 bytes
+			// followed by only 10 of them.
+			msg := binary.LittleEndian.AppendUint32(nil, 1)
+			msg = binary.LittleEndian.AppendUint64(msg, 0)
+			msg = binary.LittleEndian.AppendUint32(msg, 100)
+			msg = append(msg, make([]byte, 10)...)
+			if _, err := c.Write(msg); err != nil {
+				t.Error(err)
+			}
+			return c
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addrs := []string{freeAddr(t), freeAddr(t)}
+			peer := make(chan io.Closer, 1)
+			go func() { peer <- tc.peer(t, addrs) }()
+			tr, err := DialTCP(0, addrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			defer func() { (<-peer).Close() }()
+
+			start := time.Now()
+			_, err = tr.Exchange(0, [][]byte{nil, []byte("payload")})
+			if err == nil {
+				t.Fatal("Exchange succeeded without the peer's frame")
+			}
+			if took := time.Since(start); took > 10*tcpExchangeTimeout {
+				t.Fatalf("Exchange took %v to fail, timeout %v", took, tcpExchangeTimeout)
+			}
+			for _, want := range []string{"shard 0", "shard 1", "seq 0"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error does not name %q: %v", want, err)
+				}
+			}
+		})
+	}
+}
+
 // TestBoundaryTrafficIsDelta pins the elision: on a mostly-parked world
 // the per-round boundary frames must be far fewer than the boundary
 // entries (unchanged senders ship bare version headers).

@@ -65,10 +65,13 @@ func (t *ownedTopology) Nodes() []ident.NodeID { return t.owned }
 type genVer struct{ gen, ver uint64 }
 
 // ghost is the cached replica of a foreign boundary sender's broadcast.
-// An elided entry replays it; a framed entry refreshes it.
+// An elided entry replays it; a framed entry refreshes it with a freshly
+// decoded Message. The previous one is never overwritten: local inboxes
+// hold injected deliveries by reference until their next compute (see
+// engine.ExternalDelivery).
 type ghost struct {
 	gen, ver uint64
-	msg      core.Message
+	msg      *core.Message
 }
 
 // pendEntry is one boundary-crossing broadcast of the current tick,
@@ -378,7 +381,7 @@ func (sh *Shard) ingest(in [][]byte) ([]engine.ExternalDelivery, error) {
 					g = &ghost{}
 					sh.ghosts[ent.Sender] = g
 				}
-				g.gen, g.ver, g.msg = ent.Gen, ent.Ver, m
+				g.gen, g.ver, g.msg = ent.Gen, ent.Ver, &m
 				ghostUpd++
 			} else if g == nil || g.gen != ent.Gen || g.ver != ent.Ver {
 				return nil, fmt.Errorf("dist: shard %d: elided entry for %d from %d without a matching ghost",
@@ -388,7 +391,7 @@ func (sh *Shard) ingest(in [][]byte) ([]engine.ExternalDelivery, error) {
 			for _, u := range row {
 				if int(sh.owners[u]) == sh.Index {
 					sh.ext = append(sh.ext, engine.ExternalDelivery{
-						To: u, From: ent.Sender, Gen: ent.Gen, Ver: ent.Ver, Msg: &g.msg,
+						To: u, From: ent.Sender, Gen: ent.Gen, Ver: ent.Ver, Msg: g.msg,
 					})
 				}
 			}

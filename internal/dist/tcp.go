@@ -16,7 +16,9 @@ import (
 // retry, so start order doesn't matter) and identifies itself with a
 // hello frame. Each frame on the wire is [seq u64][len u32][payload];
 // a reader goroutine per peer decouples reads from writes so two shards
-// writing to each other simultaneously cannot deadlock.
+// writing to each other simultaneously cannot deadlock. Every Exchange is
+// bounded by tcpExchangeTimeout, so a stalled peer fails the barrier
+// with an error naming it instead of hanging the mesh.
 type TCPTransport struct {
 	self  int
 	n     int
@@ -39,6 +41,14 @@ type tcpFrame struct {
 // dials alike: peers are expected to start within this window of each
 // other. A variable only so tests can shorten it.
 var tcpDialTimeout = 30 * time.Second
+
+// tcpExchangeTimeout bounds each Exchange: writing to every peer and
+// waiting for every peer's frame of the same seq. A peer that stalls —
+// stops sending, sends half a frame, or stops reading — fails the barrier
+// with an error naming it instead of hanging the mesh. It is generous
+// because a healthy peer may lag by one of its own ticks; a variable only
+// so tests can shorten it.
+var tcpExchangeTimeout = 2 * time.Minute
 
 // maxTCPFrame bounds a frame length header before allocating (a corrupt
 // or hostile peer must not drive an arbitrary allocation).
@@ -171,30 +181,42 @@ func (t *TCPTransport) Exchange(seq uint64, out [][]byte) ([][]byte, error) {
 	if len(out) != t.n {
 		return nil, fmt.Errorf("dist: tcp: %d payloads for %d shards", len(out), t.n)
 	}
+	deadline := time.Now().Add(tcpExchangeTimeout)
 	var hdr [12]byte
 	for p := 0; p < t.n; p++ {
 		if p == t.self {
 			continue
 		}
+		if err := t.conns[p].SetWriteDeadline(deadline); err != nil {
+			return nil, fmt.Errorf("dist: tcp: shard %d: write to shard %d at seq %d: %w", t.self, p, seq, err)
+		}
 		binary.LittleEndian.PutUint64(hdr[:], seq)
 		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(out[p])))
 		w := t.wbufs[p]
 		if _, err := w.Write(hdr[:]); err != nil {
-			return nil, fmt.Errorf("dist: tcp: write to shard %d: %w", p, err)
+			return nil, fmt.Errorf("dist: tcp: shard %d: write to shard %d at seq %d: %w", t.self, p, seq, err)
 		}
 		if _, err := w.Write(out[p]); err != nil {
-			return nil, fmt.Errorf("dist: tcp: write to shard %d: %w", p, err)
+			return nil, fmt.Errorf("dist: tcp: shard %d: write to shard %d at seq %d: %w", t.self, p, seq, err)
 		}
 		if err := w.Flush(); err != nil {
-			return nil, fmt.Errorf("dist: tcp: flush to shard %d: %w", p, err)
+			return nil, fmt.Errorf("dist: tcp: shard %d: flush to shard %d at seq %d: %w", t.self, p, seq, err)
 		}
 	}
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
 	in := make([][]byte, t.n)
 	for p := 0; p < t.n; p++ {
 		if p == t.self {
 			continue
 		}
-		f := <-t.recv[p]
+		var f tcpFrame
+		select {
+		case f = <-t.recv[p]:
+		case <-timer.C:
+			return nil, fmt.Errorf("dist: tcp: shard %d: no complete frame from shard %d for seq %d within %v",
+				t.self, p, seq, tcpExchangeTimeout)
+		}
 		if f.err != nil {
 			return nil, f.err
 		}

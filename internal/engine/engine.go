@@ -55,7 +55,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/antlist"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ident"
@@ -156,7 +155,10 @@ type resolvedDelivery struct {
 	from senderVer
 }
 
-// shardScratch is one shard's reusable per-tick buffers.
+// shardScratch is one shard's reusable per-tick buffers, including the
+// compute workspace every node of the shard computes in: a shard is
+// processed by one worker at a time, in canonical order, so its nodes
+// take turns in one core.Workspace instead of each keeping its own.
 type shardScratch struct {
 	txs     []radio.Tx
 	bytes   int
@@ -164,26 +166,31 @@ type shardScratch struct {
 	ran     int                  // computes executed this tick
 	skipped int                  // compute boundaries satisfied by the activity skip
 	wakes   []introspect.WakeRec // per-shard wake ring segment (TraceWakes only)
+	ws      core.Workspace
 }
 
 // cachedMsg is one node's last built broadcast, valid while the node's
 // state version is unchanged (a node's message is a pure function of its
 // state, which only Compute and LoadState move — see core.Node.Version).
-// At Tc = k·Ts this skips k−1 of every k message assemblies.
+// At Tc = k·Ts this skips k−1 of every k message assemblies. Every
+// rebuild allocates a fresh Message and never overwrites the previous
+// one: receivers buffer delivered broadcasts by reference
+// (core.Node.ReceiveRef), and a receiver that has not computed since a
+// delivery must still see the version it was delivered.
 type cachedMsg struct {
-	m    core.Message
+	m    *core.Message
 	size int // EncodedSize, computed once per rebuild
 	ver  uint64
 }
 
 // nodeRec consolidates the engine's per-node bookkeeping — the protocol
-// node, its timer phase, the cached broadcast, the cached receiver set,
-// the recycled fold arena and the activity-skip signature — into one
-// slot-indexed record: the hot phases reach it by array index from the
-// wheel entries, with no map probe at all. A record's mutable fields are
-// only ever written by its own shard's worker (or by the coordinator
-// between phases). Records are recycled in place when their slot is:
-// identity-bearing fields reset on reuse, buffers keep their capacity.
+// node, its timer phase, the cached broadcast, the cached receiver set
+// and the activity-skip signature — into one slot-indexed record: the
+// hot phases reach it by array index from the wheel entries, with no map
+// probe at all. A record's mutable fields are only ever written by its
+// own shard's worker (or by the coordinator between phases). Records are
+// recycled in place when their slot is: identity-bearing fields reset on
+// reuse, buffers keep their capacity.
 type nodeRec struct {
 	n   *core.Node
 	id  ident.NodeID // ident.None marks a free slot
@@ -204,11 +211,6 @@ type nodeRec struct {
 	// every untouched row. rowRef aliases read-only topology storage.
 	rowRef []ident.NodeID
 	rowMem uint64
-
-	// bld is the node's recycled antlist fold arena: every Compute of this
-	// record composes its ⊕ fold in here (core.Node.ComputeIn), so the
-	// per-round list machinery allocates only when a list actually changes.
-	bld antlist.Builder
 
 	// Activity-skip state. pending is the inbox signature accumulated
 	// since the last compute boundary (ascending by sender, last write
@@ -387,7 +389,7 @@ func (e *Engine) addNode(v ident.NodeID) {
 	}
 	rec := &e.recs[slot]
 	// Recycle the record in place: identity-bearing fields reset, buffers
-	// (receiver cache, fold arena, signatures) keep their capacity.
+	// (receiver cache, signatures) keep their capacity.
 	rec.n = core.NewNode(v, e.P.Cfg)
 	rec.id = v
 	rec.gen = e.memberGen
@@ -458,8 +460,11 @@ func (e *Engine) RemoveNode(v ident.NodeID) {
 // v's genuine message, while v's own protocol state keeps evolving
 // honestly from what it hears. m must be a well-formed Message with
 // m.From == v (internal/fault forges them through a wire codec
-// round-trip); the engine retains the pointer, so the caller must not
-// mutate m afterwards — install a fresh message to change the lie.
+// round-trip). The engine retains the pointer and delivers it by
+// reference: every receiver's inbox keeps it until that receiver's next
+// compute, even past ClearLie or a later SetLie. The caller must
+// therefore never mutate m afterwards — install a fresh message to change
+// the lie.
 //
 // Like AddNode/RemoveNode, SetLie is a coordinator-side membership-layer
 // mutation: it must be called between Steps (the fault injector applies
@@ -641,9 +646,11 @@ func pendingUpsert(p []senderVer, sv senderVer) ([]senderVer, bool) {
 // local member. Gen and Ver identify the sender's incarnation and the
 // state version the broadcast was built at — the same pair a local
 // delivery carries in its inbox signature — so the activity skip and the
-// repeat-elision work identically across the process boundary. Msg must
-// be immutable for the duration of the tick (core.Node.ReceiveRef copies
-// it into the inbox).
+// repeat-elision work identically across the process boundary. The
+// receiver's inbox keeps Msg by reference (core.Node.ReceiveRef) until its
+// next compute, so Msg must stay unchanged at least that long: a wrapper
+// that refreshes a replica allocates a fresh Message instead of
+// overwriting the one it injected.
 type ExternalDelivery struct {
 	To   ident.NodeID
 	From ident.NodeID
@@ -790,7 +797,7 @@ func (e *Engine) BuildPhase() []radio.Tx {
 			if rec.cm.ver != rec.n.Version() {
 				builds++
 				m := rec.n.BuildMessage()
-				rec.cm = cachedMsg{m: m, size: m.EncodedSize(), ver: rec.n.Version()}
+				rec.cm = cachedMsg{m: &m, size: m.EncodedSize(), ver: rec.n.Version()}
 			} else {
 				cacheHits++
 			}
@@ -830,9 +837,10 @@ func (e *Engine) BuildPhase() []radio.Tx {
 // armed Byzantine lie — together with the (incarnation, version) pair
 // its deliveries are signed with. ok is false when v is not a member or
 // its send timer has not fired yet this run (no broadcast built). The
-// message aliases engine-owned storage: it is valid until v's next
-// rebuild and must not be mutated. Distributed wrappers call this after
-// BuildPhase to encode boundary copies of due broadcasts.
+// message is shared with the engine and every inbox it was delivered to:
+// it is never modified (a rebuild replaces it) and must not be mutated.
+// Distributed wrappers call this after BuildPhase to encode boundary
+// copies of due broadcasts.
 func (e *Engine) BroadcastOf(v ident.NodeID) (m *core.Message, gen, ver uint64, ok bool) {
 	slot := e.order.SlotOf(v)
 	if slot < 0 {
@@ -845,7 +853,7 @@ func (e *Engine) BroadcastOf(v ident.NodeID) (m *core.Message, gen, ver uint64, 
 	if rec.cm.ver == ^uint64(0) {
 		return nil, 0, 0, false
 	}
-	return &rec.cm.m, rec.gen, rec.cm.ver, true
+	return rec.cm.m, rec.gen, rec.cm.ver, true
 }
 
 // FinishTick runs phases 3–5 of a tick: arbitrate the channel over the
@@ -914,7 +922,7 @@ func (e *Engine) FinishTick(ext []ExternalDelivery) {
 				continue
 			}
 			from := &e.recs[fromSlot]
-			msg, ver := &from.cm.m, from.cm.ver
+			msg, ver := from.cm.m, from.cm.ver
 			if from.lie != nil {
 				msg, ver = from.lie, from.lieVer
 			}
@@ -949,10 +957,9 @@ func (e *Engine) FinishTick(ext []ExternalDelivery) {
 			var elided uint64
 			for _, d := range e.scratch[s].deliv {
 				if d.from.ver == ^uint64(0) {
-					// An unbuilt broadcast (fabricated delivery) is a zero
-					// Message that Receive drops; it never enters the
-					// inbox, so it must not enter the signature either.
-					d.to.n.ReceiveRef(d.msg)
+					// An unbuilt broadcast (fabricated delivery) has no
+					// message to store; it never enters the inbox, so it
+					// must not enter the signature either.
 					continue
 				}
 				var dup bool
@@ -1014,7 +1021,7 @@ func (e *Engine) FinishTick(ext []ExternalDelivery) {
 			if e.traceWakes {
 				sc.wakes = append(sc.wakes, introspect.WakeRec{Node: ent.id, Cause: cause, Sender: offender})
 			}
-			rec.n.ComputeIn(&rec.bld)
+			rec.n.ComputeIn(&sc.ws)
 			rec.seeded = true
 			q := rec.n.RoundQuietness()
 			if q != core.QuietNone {

@@ -146,10 +146,12 @@ func (c *Cluster) startNode(v ident.NodeID) {
 }
 
 // run is the node goroutine: the paper's main algorithm verbatim — receive
-// into the message set, send on Ts, compute on Tc.
+// into the message set, send on Ts, compute on Tc. The goroutine keeps
+// its own compute workspace for its node's lifetime.
 func (c *Cluster) run(p *proc) {
 	defer c.wg.Done()
 	n := core.NewNode(p.id, c.cfg.Protocol)
+	var ws core.Workspace
 	sendT := time.NewTicker(c.cfg.SendEvery)
 	computeT := time.NewTicker(c.cfg.ComputeEvery)
 	defer sendT.Stop()
@@ -170,7 +172,7 @@ func (c *Cluster) run(p *proc) {
 				return
 			}
 		case <-computeT.C:
-			n.Compute()
+			n.ComputeIn(&ws)
 		case reply := <-p.query:
 			reply <- state{view: n.View(), list: n.List().Len()}
 		}
