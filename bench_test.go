@@ -234,8 +234,8 @@ func (s *legacySim) step() {
 			built[tx.Sender] = s.nodes[tx.Sender].BuildMessage()
 		}
 		for _, d := range s.channel.DeliverSlot(txs, s.rng) {
-			if n, ok := s.nodes[d.To]; ok {
-				n.Receive(built[d.From])
+			if n, ok := s.nodes[d.To(txs)]; ok {
+				n.Receive(built[d.From(txs)])
 			}
 		}
 	}

@@ -23,16 +23,18 @@
 // each shard owns a private RNG stream derived from the seed. Workers
 // only ever race for *which* shard they process next, never for the order
 // of effects inside a shard, and cross-shard effects (message delivery)
-// are partitioned by receiver before the parallel phase starts. A fixed
-// seed therefore yields bit-identical traces at any GOMAXPROCS and any
-// Workers setting.
+// are bucketed by receiver shard in contiguous chunks and stored in chunk
+// order, which is the deliveries' own order at any width. A fixed seed
+// therefore yields bit-identical traces at any GOMAXPROCS and any Workers
+// setting.
 //
 // Per-node bookkeeping is slot-indexed: the Roster assigns every member a
 // stable dense slot for its lifetime (deterministically recycled on
 // churn), the timer wheels carry (id, slot) entries, and the hot phases
 // index the flat record table directly — the only ID→slot map probes left
-// sit at the membership boundary and in delivery resolution, where the
-// radio layer's ID-based contract meets the slot world.
+// sit at the membership boundary. The transmission slate carries sender
+// and receiver slots next to the IDs, and a channel answers with slate
+// positions, so delivery resolution probes nothing.
 //
 // The compute phase is activity-driven: a node whose last executed round
 // was provably a no-op (core.Node.RoundQuietness) and whose inbox since
@@ -146,11 +148,25 @@ type senderVer struct {
 	ver uint64 // sender state version the delivered broadcast was built at
 }
 
-// resolvedDelivery is one reception with the receiver record and message
-// resolved on the coordinator, so the parallel deliver phase touches no
-// shared maps.
-type resolvedDelivery struct {
-	to   *nodeRec
+// txRef is the slot-space half of one slate entry: the sender's slot and
+// its receivers' slots, index-aligned with the radio.Tx's Receivers. The
+// deliver phase resolves a radio.Delivery (a slate position) through it
+// with no ID lookup.
+type txRef struct {
+	from int32
+	recv []int32
+}
+
+// slotDelivery is one local reception in slot space: the receiver's and
+// the sender's record slots. The sender's message and signature are read
+// from its record by the receiver shard's worker.
+type slotDelivery struct{ to, from int32 }
+
+// extDelivery is one external reception with the receiver's slot resolved
+// on the coordinator; the sender lives in another process, so its message
+// and signature travel with the entry.
+type extDelivery struct {
+	to   int32
 	msg  *core.Message
 	from senderVer
 }
@@ -161,8 +177,9 @@ type resolvedDelivery struct {
 // take turns in one core.Workspace instead of each keeping its own.
 type shardScratch struct {
 	txs     []radio.Tx
+	refs    []txRef
 	bytes   int
-	deliv   []resolvedDelivery
+	ext     []extDelivery
 	ran     int                  // computes executed this tick
 	skipped int                  // compute boundaries satisfied by the activity skip
 	wakes   []introspect.WakeRec // per-shard wake ring segment (TraceWakes only)
@@ -200,7 +217,11 @@ type nodeRec struct {
 
 	cm cachedMsg
 
+	// recv is the cached receiver set (live members only); recvSlots
+	// holds their roster slots, index-aligned, so the slate can carry
+	// receivers in slot space.
 	recv      []ident.NodeID
+	recvSlots []int32
 	recvEpoch uint64
 
 	// rowRef/rowMem validate recv against a RowTopology row: when the
@@ -282,7 +303,12 @@ type Engine struct {
 
 	scratch  [NumShards]shardScratch
 	txsBuf   []radio.Tx
+	refsBuf  []txRef // slot-space slate, index-aligned with txsBuf
 	delivBuf []radio.Delivery
+
+	// chunks holds the deliver phase's partition: chunk c's receptions
+	// bucketed by receiver shard (one chunk per worker; see FinishTick).
+	chunks [][NumShards][]slotDelivery
 
 	// Receiver-cache key: the per-record receiver sets are valid while
 	// the topology graph (pointer + mutation generation) and the engine
@@ -396,6 +422,7 @@ func (e *Engine) addNode(v ident.NodeID) {
 	rec.phase = 0
 	rec.cm = cachedMsg{ver: ^uint64(0)} // no broadcast built yet
 	rec.recv = rec.recv[:0]
+	rec.recvSlots = rec.recvSlots[:0]
 	rec.recvEpoch = 0
 	rec.rowRef = nil
 	rec.rowMem = 0
@@ -593,15 +620,11 @@ func (e *Engine) workers() int {
 	return e.P.Workers
 }
 
-// runShards applies fn to every shard: inline when Workers ≤ 1, else on a
-// pool of Workers goroutines with a static shard-to-worker assignment.
-// fn must only touch shard-local state (plus read-only shared state).
-func (e *Engine) runShards(fn func(s int)) {
-	w := e.workers()
+// fanOut runs fn(i) for every worker index i in [0, w): inline when
+// w ≤ 1, else one goroutine per index.
+func fanOut(w int, fn func(i int)) {
 	if w <= 1 {
-		for s := 0; s < NumShards; s++ {
-			fn(s)
-		}
+		fn(0)
 		return
 	}
 	var wg sync.WaitGroup
@@ -609,12 +632,22 @@ func (e *Engine) runShards(fn func(s int)) {
 	for i := 0; i < w; i++ {
 		go func(i int) {
 			defer wg.Done()
-			for s := i; s < NumShards; s += w {
-				fn(s)
-			}
+			fn(i)
 		}(i)
 	}
 	wg.Wait()
+}
+
+// runShards applies fn to every shard: inline when Workers ≤ 1, else on a
+// pool of Workers goroutines with a static shard-to-worker assignment.
+// fn must only touch shard-local state (plus read-only shared state).
+func (e *Engine) runShards(fn func(s int)) {
+	w := max(e.workers(), 1)
+	fanOut(w, func(i int) {
+		for s := i; s < NumShards; s += w {
+			fn(s)
+		}
+	})
 }
 
 // pendingUpsert records one delivery in a record's inbox signature: one
@@ -734,6 +767,7 @@ func (e *Engine) BuildPhase() []radio.Tx {
 	e.runShards(func(s int) {
 		sc := &e.scratch[s]
 		sc.txs = sc.txs[:0]
+		sc.refs = sc.refs[:0]
 		sc.bytes = 0
 		// Shard-local accumulators, flushed to the shard's registry lane
 		// once at the end: the hot loop pays plain integer adds only.
@@ -759,13 +793,14 @@ func (e *Engine) BuildPhase() []radio.Tx {
 						rowHits++
 					} else {
 						rowRefills++
-						live := rec.recv[:0]
+						live, slots := rec.recv[:0], rec.recvSlots[:0]
 						for _, u := range row {
-							if e.order.SlotOf(u) >= 0 {
+							if us := e.order.SlotOf(u); us >= 0 {
 								live = append(live, u)
+								slots = append(slots, us)
 							}
 						}
-						rec.recv = live
+						rec.recv, rec.recvSlots = live, slots
 						rec.rowRef = row
 						rec.rowMem = e.memberGen
 					}
@@ -775,13 +810,14 @@ func (e *Engine) BuildPhase() []radio.Tx {
 					// old backing were consumed within their own tick.
 					rebuilds++
 					buf := e.Topo.AppendReceivers(ent.id, rec.recv[:0])
-					live := buf[:0]
+					live, slots := buf[:0], rec.recvSlots[:0]
 					for _, u := range buf {
-						if e.order.SlotOf(u) >= 0 {
+						if us := e.order.SlotOf(u); us >= 0 {
 							live = append(live, u)
+							slots = append(slots, us)
 						}
 					}
-					rec.recv = live
+					rec.recv, rec.recvSlots = live, slots
 					rec.rowRef = nil
 				}
 				rec.recvEpoch = e.recvEpoch
@@ -791,6 +827,7 @@ func (e *Engine) BuildPhase() []radio.Tx {
 				// assembling a genuine broadcast; the deliver phase below
 				// resolves its receptions to the lie.
 				sc.txs = append(sc.txs, radio.Tx{Sender: ent.id, Receivers: rec.recv})
+				sc.refs = append(sc.refs, txRef{from: ent.slot, recv: rec.recvSlots})
 				sc.bytes += rec.lieSize
 				continue
 			}
@@ -802,6 +839,7 @@ func (e *Engine) BuildPhase() []radio.Tx {
 				cacheHits++
 			}
 			sc.txs = append(sc.txs, radio.Tx{Sender: ent.id, Receivers: rec.recv})
+			sc.refs = append(sc.refs, txRef{from: ent.slot, recv: rec.recvSlots})
 			sc.bytes += rec.cm.size
 		}
 		lane := e.reg.Shard(s)
@@ -818,16 +856,17 @@ func (e *Engine) BuildPhase() []radio.Tx {
 
 	// Merge the shard results in shard-major order — the canonical slot
 	// order the channel sees, identical at any worker count.
-	txs := e.txsBuf[:0]
+	txs, refs := e.txsBuf[:0], e.refsBuf[:0]
 	for s := range e.scratch {
 		sc := &e.scratch[s]
 		txs = append(txs, sc.txs...)
+		refs = append(refs, sc.refs...)
 		e.MessagesSent += len(sc.txs)
 		e.BytesSent += sc.bytes
 		e.reg.Add(introspect.CtrMessagesSent, uint64(len(sc.txs)))
 		e.reg.Add(introspect.CtrBytesSent, uint64(sc.bytes))
 	}
-	e.txsBuf = txs
+	e.txsBuf, e.refsBuf = txs, refs
 	e.markPhase(introspect.PhaseBuild, start)
 	return e.txsBuf
 }
@@ -895,78 +934,53 @@ func (e *Engine) FinishTick(ext []ExternalDelivery) {
 	deliveries := e.delivBuf
 
 	if len(txs) > 0 || len(ext) > 0 {
-		// Phase 4: deliver. Receptions are partitioned by receiver shard
-		// on the coordinator — with the receiver record and sender message
-		// resolved up front (the two ID→slot probes here are the radio
-		// contract's boundary) — then stored in parallel: each node's
-		// inbox and signature are only ever touched by its own shard's
-		// worker.
-		for s := range e.scratch {
-			e.scratch[s].deliv = e.scratch[s].deliv[:0]
-		}
-		delivs := uint64(0)
-		for _, d := range deliveries {
-			toSlot := e.order.SlotOf(d.To)
-			if toSlot < 0 {
-				continue
-			}
-			e.Deliveries++
-			delivs++
-			fromSlot := e.order.SlotOf(d.From)
-			if fromSlot < 0 {
-				// A channel implementation fabricated or replayed a
-				// delivery from a sender that is no longer (or never was)
-				// live: count it, deliver nothing — the pre-rewrite
-				// message-cache lookup yielded a zero Message here, which
-				// Receive dropped.
-				continue
-			}
-			from := &e.recs[fromSlot]
-			msg, ver := from.cm.m, from.cm.ver
-			if from.lie != nil {
-				msg, ver = from.lie, from.lieVer
-			}
-			sc := &e.scratch[shardOf(d.To)]
-			sc.deliv = append(sc.deliv, resolvedDelivery{
-				to:   &e.recs[toSlot],
-				msg:  msg,
-				from: senderVer{id: d.From, gen: from.gen, ver: ver},
-			})
-		}
+		// Phase 4: deliver, in slot space. The deliveries are cut into one
+		// contiguous chunk per worker, and each worker buckets its chunk
+		// by receiver shard, reading both slots off the slate (no ID is
+		// resolved). Each receiver shard then stores its buckets in chunk
+		// order — the deliveries' own order, at any worker count — and the
+		// external receptions last: each node's inbox and signature are
+		// only ever touched by its own shard's worker.
+		e.partitionDeliveries(deliveries)
 		// External receptions (distributed wrapper): the sender's record
 		// lives in another process, so the (gen, ver) signature arrives
-		// resolved; only the receiver is looked up locally. Appending
-		// after the local partition keeps each scratch list single-writer;
-		// within a shard the relative order is irrelevant (see above).
+		// resolved; only the receiver is looked up locally, on the
+		// coordinator — the dist boundary's ID-based contract.
+		for s := range e.scratch {
+			e.scratch[s].ext = e.scratch[s].ext[:0]
+		}
+		delivs := uint64(len(deliveries))
 		for _, x := range ext {
 			toSlot := e.order.SlotOf(x.To)
 			if toSlot < 0 {
 				continue
 			}
-			e.Deliveries++
 			delivs++
 			sc := &e.scratch[shardOf(x.To)]
-			sc.deliv = append(sc.deliv, resolvedDelivery{
-				to:   &e.recs[toSlot],
+			sc.ext = append(sc.ext, extDelivery{
+				to:   toSlot,
 				msg:  x.Msg,
 				from: senderVer{id: x.From, gen: x.Gen, ver: x.Ver},
 			})
 		}
+		e.Deliveries += int(delivs)
 		e.reg.Add(introspect.CtrDeliveries, delivs)
 		e.runShards(func(s int) {
 			var elided uint64
-			for _, d := range e.scratch[s].deliv {
-				if d.from.ver == ^uint64(0) {
-					// An unbuilt broadcast (fabricated delivery) has no
-					// message to store; it never enters the inbox, so it
-					// must not enter the signature either.
-					continue
+			for c := range e.chunks {
+				for _, d := range e.chunks[c][s] {
+					from := &e.recs[d.from]
+					msg, ver := from.cm.m, from.cm.ver
+					if from.lie != nil {
+						msg, ver = from.lie, from.lieVer
+					}
+					if e.recs[d.to].store(msg, senderVer{id: from.id, gen: from.gen, ver: ver}) {
+						elided++
+					}
 				}
-				var dup bool
-				d.to.pending, dup = pendingUpsert(d.to.pending, d.from)
-				if !dup {
-					d.to.n.ReceiveRef(d.msg)
-				} else {
+			}
+			for _, x := range e.scratch[s].ext {
+				if e.recs[x.to].store(x.msg, x.from) {
 					elided++
 				}
 			}
@@ -1062,6 +1076,41 @@ func (e *Engine) FinishTick(ext []ExternalDelivery) {
 	e.reg.Inc(introspect.CtrTicks)
 
 	e.tick++
+}
+
+// partitionDeliveries splits the slot's deliveries into one contiguous
+// chunk per worker and buckets each chunk by receiver shard, in parallel:
+// chunk c's worker writes only e.chunks[c]. A delivery's receiver and
+// sender slots are read off the slot-space slate by position.
+func (e *Engine) partitionDeliveries(ds []radio.Delivery) {
+	w := max(e.workers(), 1)
+	if len(e.chunks) != w {
+		e.chunks = make([][NumShards][]slotDelivery, w)
+	}
+	txs, refs := e.txsBuf, e.refsBuf
+	fanOut(w, func(c int) {
+		b := &e.chunks[c]
+		for s := range b {
+			b[s] = b[s][:0]
+		}
+		for _, d := range ds[c*len(ds)/w : (c+1)*len(ds)/w] {
+			ref := &refs[d.Tx]
+			s := shardOf(txs[d.Tx].Receivers[d.Rx])
+			b[s] = append(b[s], slotDelivery{to: ref.recv[d.Rx], from: ref.from})
+		}
+	})
+}
+
+// store records one delivery at the receiver: the signature upkeep, and
+// the inbox store unless the exact (sender, incarnation, version) entry
+// is already buffered — it reports that elision.
+func (rec *nodeRec) store(msg *core.Message, from senderVer) bool {
+	var dup bool
+	rec.pending, dup = pendingUpsert(rec.pending, from)
+	if !dup {
+		rec.n.ReceiveRef(msg)
+	}
+	return dup
 }
 
 // markPhase closes one wall-clock phase window: it accumulates the time

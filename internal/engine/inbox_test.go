@@ -14,7 +14,8 @@ import (
 )
 
 // scriptedDrops is a perfect channel that suppresses exactly the
-// receptions drop selects, by engine tick.
+// receptions drop selects, by engine tick; the rest it emits as slate
+// positions.
 type scriptedDrops struct {
 	e    *Engine
 	drop func(tick int, from, to ident.NodeID) bool
@@ -22,10 +23,10 @@ type scriptedDrops struct {
 
 func (c *scriptedDrops) DeliverSlot(txs []radio.Tx, _ *rand.Rand) []radio.Delivery {
 	var out []radio.Delivery
-	for _, tx := range txs {
-		for _, u := range tx.Receivers {
+	for t, tx := range txs {
+		for r, u := range tx.Receivers {
 			if !c.drop(c.e.tick, tx.Sender, u) {
-				out = append(out, radio.Delivery{From: tx.Sender, To: u})
+				out = append(out, radio.Delivery{Tx: int32(t), Rx: int32(r)})
 			}
 		}
 	}

@@ -163,7 +163,7 @@ func (a *AsymLoss) AppendDeliverSlot(txs []radio.Tx, rng *rand.Rand, buf []radio
 	buf = innerDeliver(a.Inner, txs, rng, buf)
 	kept := buf[:start]
 	for _, d := range buf[start:] {
-		if rng.Float64() >= a.linkP(d.From, d.To) {
+		if rng.Float64() >= a.linkP(d.From(txs), d.To(txs)) {
 			kept = append(kept, d)
 		} else {
 			a.drops++

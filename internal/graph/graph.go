@@ -47,8 +47,9 @@ type G struct {
 	// private copy.
 	sharedIdx bool
 
-	// cowAdj marks the adjacency rows as shared with another graph
-	// (ApplyDelta); any edge mutation first privatizes every row
+	// cowAdj marks the adjacency storage as shared with another graph
+	// (ApplyDelta, or an all-kept Restrict, which shares the row table
+	// itself); any mutation first privatizes the table and every row
 	// (unshareAdj in delta.go).
 	cowAdj bool
 
@@ -512,10 +513,17 @@ func (g *G) String() string {
 	return fmt.Sprintf("graph(n=%d, m=%d)", g.NumNodes(), g.NumEdges())
 }
 
-// Restrict returns the subgraph induced by the nodes keep accepts, as a
-// deep copy in one pass. The kept adjacencies are filtered into a single
-// arena, so the restriction of a CSR graph is itself laid out flat.
+// Restrict returns the subgraph induced by the nodes keep accepts. When
+// keep accepts every node, the result is a copy-on-write share of g: it
+// shares g's roster and adjacency storage, both graphs are flagged like
+// ApplyDelta's pair, and the first mutation of either privatizes its
+// storage, so neither can see the other's later changes. Otherwise it is
+// a deep copy: the kept adjacencies are filtered into a single arena, so
+// the restriction of a CSR graph is itself laid out flat.
 func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
+	if !slices.ContainsFunc(g.nodes, func(v ident.NodeID) bool { return !keep(v) }) {
+		return g.share()
+	}
 	out := &G{idx: make(map[ident.NodeID]int32, len(g.nodes))}
 	total := 0
 	for i, v := range g.nodes {
@@ -536,6 +544,22 @@ func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
 		out.edges += len(out.adj[oi])
 	}
 	out.edges /= 2
+	return out
+}
+
+// share returns a copy-on-write twin of g (see Restrict): same roster, row
+// table and rows, with both graphs flagged to privatize before their
+// first mutation. The twin is a fresh graph at generation zero. Sharing
+// the row table itself is safe: every row write privatizes first
+// (unshareAdj), and a node append only ever stores a nil row into the
+// table's spare capacity, where the other graph can hold nothing but nil
+// rows.
+func (g *G) share() *G {
+	out := &G{idx: g.idx, nodes: g.nodes, adj: g.adj, edges: g.edges, sharedIdx: true, cowAdj: true}
+	g.sharedIdx, g.cowAdj = true, true
+	if g.sortedOK {
+		out.sorted, out.sortedOK = g.sorted, true
+	}
 	return out
 }
 

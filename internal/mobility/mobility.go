@@ -14,6 +14,7 @@ package mobility
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/ident"
 	"repro/internal/space"
@@ -391,7 +392,7 @@ type Commuter struct {
 	ActiveFraction float64
 
 	wp     Waypoint
-	active map[ident.NodeID]bool
+	active []ident.NodeID // the commuting subset, ascending
 }
 
 // Init implements Model: places everyone uniformly and draws the
@@ -408,25 +409,27 @@ func (m *Commuter) Init(w *space.World, nodes []ident.NodeID, rng *rand.Rand) {
 	}
 	k := int(f * float64(len(nodes)))
 	perm := rng.Perm(len(nodes))
-	m.active = make(map[ident.NodeID]bool, k)
-	for _, i := range perm[:k] {
-		m.active[nodes[i]] = true
+	m.active = make([]ident.NodeID, k)
+	for j, i := range perm[:k] {
+		m.active[j] = nodes[i]
 	}
+	slices.Sort(m.active)
 	// Waypoint.Init places every node and assigns legs; parked nodes
 	// simply never execute theirs.
 	m.wp.Init(w, nodes, rng)
 }
 
 // Step implements Model: advances only the commuting subset through the
-// shared waypoint leg logic, drawing exactly one leg's worth of
-// randomness per arriving commuter (parked nodes consume no RNG, so
-// traces are independent of the parked count).
+// shared waypoint leg logic, in ascending ID order, drawing exactly one
+// leg's worth of randomness per arriving commuter (parked nodes consume no
+// RNG, so traces are independent of the parked count). A commuter that
+// has left the world is skipped until it returns.
 func (m *Commuter) Step(w *space.World, dt float64, rng *rand.Rand) {
-	if dt == 0 || len(m.active) == 0 {
+	if dt == 0 {
 		return
 	}
-	for _, v := range w.Nodes() {
-		if m.active[v] {
+	for _, v := range m.active {
+		if _, ok := w.Pos(v); ok {
 			m.wp.stepNode(w, v, dt, rng)
 		}
 	}

@@ -210,9 +210,12 @@ func TestMonitorFaultFreeSoak(t *testing.T) {
 }
 
 // TestChaosSoakDeterministicAcrossWorkers pins the acceptance criterion
-// end to end: with the injector armed (crash + byzantine + burst loss),
-// the entire soak result and every emitted episode record are
-// bit-identical at 1 and 4 workers.
+// end to end: with the injector armed (the mixed preset's crash +
+// byzantine + burst loss, plus flapping, asymmetric loss and duplication
+// — a channel stack whose draws and duplicates are order-sensitive), the
+// entire soak result and every emitted episode record are bit-identical
+// at 1, 2, 3 and 4 workers. The odd width moves the deliver phase's chunk
+// boundaries off the even splits.
 func TestChaosSoakDeterministicAcrossWorkers(t *testing.T) {
 	rounds := 400
 	if testing.Short() {
@@ -225,6 +228,7 @@ func TestChaosSoakDeterministicAcrossWorkers(t *testing.T) {
 		}
 		prof.Seed = 23
 		prof.Flap = fault.FlapConfig{Rate: 0.03, DownRounds: 8, MaxStorm: 4}
+		prof.Chan.AsymMaxP, prof.Chan.DupP = 0.3, 0.05
 		var episodes []Episode
 		res, err := RunSoak(SoakConfig{
 			N: 80, Dmax: 3, Seed: 13, Workers: workers,
@@ -250,7 +254,10 @@ func TestChaosSoakDeterministicAcrossWorkers(t *testing.T) {
 		}{rep, episodes})
 		return string(b)
 	}
-	if a, b := run(1), run(4); a != b {
-		t.Fatalf("chaos soak diverges across workers:\n w1: %s\n w4: %s", a, b)
+	want := run(1)
+	for _, workers := range []int{2, 3, 4} {
+		if got := run(workers); got != want {
+			t.Fatalf("chaos soak diverges across workers:\n w1: %s\n w%d: %s", want, workers, got)
+		}
 	}
 }

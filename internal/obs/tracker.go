@@ -142,6 +142,17 @@ type pairVerdict struct {
 	mergeable bool
 }
 
+// pairPart is one partition of the ΠM pair space: the pairs whose key
+// maps to it (GroupTracker.partOf). It owns its dedup map and verdict
+// cache (value maps, double-buffered: no allocation per refreshed
+// verdict), and per scan it counts its mergeable pairs and lists the
+// pairs that need a BFS verdict.
+type pairPart struct {
+	cache, spare map[pairKey]pairVerdict
+	pending      []pairEntry
+	merge        int
+}
+
 // GroupTracker incrementally observes one engine run (or, through a
 // distributed Source, one logical run spread over several engines).
 type GroupTracker struct {
@@ -171,12 +182,11 @@ type GroupTracker struct {
 	prevGen uint64
 	edges   int
 
-	// ΠM / nee state: adjacent-group pairs and the verdict cache
-	// (value maps: no allocation per refreshed verdict).
-	pairCache map[pairKey]pairVerdict
-	pairSpare map[pairKey]pairVerdict
-	nee       int
-	mergeCnt  int
+	// ΠM / nee state: the adjacent-group pairs, partitioned by key (one
+	// partition per worker), and the last scan's counts.
+	parts    []pairPart
+	nee      int
+	mergeCnt int
 
 	// Cumulative soak counters (transitions observed so far).
 	Rounds           int
@@ -195,7 +205,6 @@ type GroupTracker struct {
 	reborn   []rebornRec
 	evalList []*group
 	pending  []pairEntry
-	pairList []pairKey
 	boolRes  []bool
 	regroup  []regroupRes
 }
@@ -206,8 +215,8 @@ type trackerShard struct {
 	changed   []changeRec
 	degSum    int
 	nee       int
-	pairs     []pairEntry
-	extract   []int32 // extraction-candidate slots (computed ∪ added)
+	pairs     [][]pairEntry // boundary pairs per pair partition
+	extract   []int32       // extraction-candidate slots (computed ∪ added)
 	vbuf      []ident.NodeID
 }
 
@@ -251,17 +260,23 @@ func NewGroupTrackerSource(src Source) *GroupTracker {
 		w = 1
 	}
 	t := &GroupTracker{
-		e:         src,
-		dmax:      src.Dmax(),
-		workers:   w,
-		watchers:  make(map[ident.NodeID][]memberRef),
-		groups:    make(map[ident.NodeID]*group),
-		pairCache: make(map[pairKey]pairVerdict),
-		pairSpare: make(map[pairKey]pairVerdict),
+		e:        src,
+		dmax:     src.Dmax(),
+		workers:  w,
+		watchers: make(map[ident.NodeID][]memberRef),
+		groups:   make(map[ident.NodeID]*group),
+		parts:    make([]pairPart, w),
 	}
 	t.ws = make([]*workerScratch, w)
 	for i := range t.ws {
 		t.ws[i] = newWorkerScratch()
+	}
+	for i := range t.parts {
+		t.parts[i].cache = make(map[pairKey]pairVerdict)
+		t.parts[i].spare = make(map[pairKey]pairVerdict)
+	}
+	for s := range t.shards {
+		t.shards[s].pairs = make([][]pairEntry, w)
 	}
 	src.TrackDirty()
 	return t
@@ -750,7 +765,7 @@ func (t *GroupTracker) evalStretched(g *graph.G, list []*group) {
 }
 
 // scanPairs rebuilds the external-edge count and the adjacent-group pair
-// list, then refreshes the ΠM verdict cache: a pair is re-evaluated only
+// set, then refreshes the ΠM verdict cache: a pair is re-evaluated only
 // when one of its records was replaced or had a member's neighborhood
 // change; everything else reuses the cached verdict. Pairs that are no
 // longer adjacent are dropped from the cache (the maps are
@@ -759,12 +774,19 @@ func (t *GroupTracker) evalStretched(g *graph.G, list []*group) {
 //
 // The boundary walk is map-free: each node's cached neighbor slots (kept
 // current by the phase-2 sweep, which runs whenever membership or
-// topology changed) index the slot array directly.
+// topology changed) index the slot array directly. It files every pair
+// under its key's partition; each partition then dedups and refreshes its
+// own pairs in parallel, and the coordinator only sums the counts and
+// evaluates the concatenated pending pairs. A pair's partition, its two
+// records and its verdict are functions of the key alone, so the counts
+// and the cache contents are identical at any worker count.
 func (t *GroupTracker) scanPairs(g *graph.G) {
 	t.runShards(func(s, w int) {
 		sh := &t.shards[s]
 		sh.nee = 0
-		sh.pairs = sh.pairs[:0]
+		for p := range sh.pairs {
+			sh.pairs[p] = sh.pairs[p][:0]
+		}
 		for _, m := range t.byShard[s] {
 			st := &t.nodes[m.slot]
 			for i, u := range st.nbrs {
@@ -781,47 +803,62 @@ func (t *GroupTracker) scanPairs(g *graph.G) {
 					e.k.a, e.k.b = e.k.b, e.k.a
 					e.ga, e.gb = e.gb, e.ga
 				}
-				sh.pairs = append(sh.pairs, e)
+				p := t.partOf(e.k)
+				sh.pairs[p] = append(sh.pairs[p], e)
 			}
 		}
 	})
 
-	// Merge in shard-major order; the next-cache map doubles as the
-	// cross-shard dedup (a pair's two sides resolve to the same records
-	// regardless of which boundary edge reported it first).
-	next := t.pairSpare // empty: cleared at the end of the last scan
-	t.nee = 0
-	t.pairList = t.pairList[:0]
-	t.pending = t.pending[:0]
+	// Each partition walks its pairs in shard-major order; its next-cache
+	// map doubles as the dedup (a pair's two sides resolve to the same
+	// records regardless of which boundary edge reported it first).
+	t.runSlots(len(t.parts), func(p, _ int) {
+		pt := &t.parts[p]
+		next := pt.spare // empty: cleared at the end of the last scan
+		pt.pending = pt.pending[:0]
+		pt.merge = 0
+		for s := range t.shards {
+			for _, e := range t.shards[s].pairs[p] {
+				if _, dup := next[e.k]; dup {
+					continue
+				}
+				if v, ok := pt.cache[e.k]; ok && v.ga == e.ga && v.gb == e.gb && v.ta == e.ga.topoGen && v.tb == e.gb.topoGen {
+					next[e.k] = v
+					if v.mergeable {
+						pt.merge++
+					}
+					continue
+				}
+				v := pairVerdict{ga: e.ga, gb: e.gb, ta: e.ga.topoGen, tb: e.gb.topoGen}
+				if !e.ga.stretched && !e.gb.stretched &&
+					len(e.ga.members)+len(e.gb.members) <= t.dmax+1 {
+					// A connected graph on m ≤ Dmax+1 nodes has diameter at
+					// most m−1 ≤ Dmax: both sides are connected (unstretched)
+					// and the boundary edge joins them, so the union is
+					// mergeable without a BFS. In a fragmented configuration
+					// (many adjacent singletons) this resolves almost every
+					// refreshed pair.
+					v.mergeable = true
+					pt.merge++
+				} else {
+					pt.pending = append(pt.pending, e)
+				}
+				next[e.k] = v
+			}
+		}
+		pt.cache, pt.spare = next, pt.cache
+		clear(pt.spare)
+	})
+
+	t.nee, t.mergeCnt = 0, 0
 	for s := range t.shards {
 		t.nee += t.shards[s].nee
-		for _, e := range t.shards[s].pairs {
-			if _, dup := next[e.k]; dup {
-				continue
-			}
-			t.pairList = append(t.pairList, e.k)
-			if v, ok := t.pairCache[e.k]; ok && v.ga == e.ga && v.gb == e.gb && v.ta == e.ga.topoGen && v.tb == e.gb.topoGen {
-				next[e.k] = v
-				continue
-			}
-			v := pairVerdict{ga: e.ga, gb: e.gb, ta: e.ga.topoGen, tb: e.gb.topoGen}
-			if !e.ga.stretched && !e.gb.stretched &&
-				len(e.ga.members)+len(e.gb.members) <= t.dmax+1 {
-				// A connected graph on m ≤ Dmax+1 nodes has diameter at
-				// most m−1 ≤ Dmax: both sides are connected (unstretched)
-				// and the boundary edge joins them, so the union is
-				// mergeable without a BFS. In a fragmented configuration
-				// (many adjacent singletons) this resolves almost every
-				// refreshed pair.
-				v.mergeable = true
-				next[e.k] = v
-				continue
-			}
-			next[e.k] = v
-			t.pending = append(t.pending, e)
-		}
 	}
-
+	t.pending = t.pending[:0]
+	for p := range t.parts {
+		t.mergeCnt += t.parts[p].merge
+		t.pending = append(t.pending, t.parts[p].pending...)
+	}
 	if cap(t.boolRes) < len(t.pending) {
 		t.boolRes = make([]bool, len(t.pending))
 	}
@@ -831,20 +868,19 @@ func (t *GroupTracker) scanPairs(g *graph.G) {
 		res[i] = t.ws[w].mergeable(g, p.ga.members, p.gb.members, t.dmax)
 	})
 	for i, p := range t.pending {
-		v := next[p.k]
-		v.mergeable = res[i]
-		next[p.k] = v
-	}
-
-	t.mergeCnt = 0
-	for _, k := range t.pairList {
-		if next[k].mergeable {
-			t.mergeCnt++
+		if !res[i] {
+			continue
 		}
+		t.mergeCnt++
+		cache := t.parts[t.partOf(p.k)].cache
+		v := cache[p.k]
+		v.mergeable = true
+		cache[p.k] = v
 	}
-	t.pairCache, t.pairSpare = next, t.pairCache
-	clear(t.pairSpare)
 }
+
+// partOf maps a pair key to its partition: a fixed function of the key.
+func (t *GroupTracker) partOf(k pairKey) int { return engine.ShardOf(k.a) % len(t.parts) }
 
 // newGroup creates a record, registers it as the representative's
 // canonical record and accounts it.

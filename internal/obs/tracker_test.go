@@ -180,8 +180,10 @@ func obsFingerprint(st RoundStats, tr *GroupTracker) string {
 }
 
 // TestTrackerDeterministicAcrossWorkers pins the acceptance criterion:
-// the tracker's full output is bit-identical at Workers=1 and Workers=4
-// on a churning mobile scenario.
+// the tracker's full output is bit-identical at Workers 1, 2, 3 and 4 on
+// a churning mobile scenario. The worker count also sets the engine's
+// delivery chunks and the tracker's ΠM pair partitions, so the odd width
+// checks splits that do not divide evenly.
 func TestTrackerDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []string {
 		w := space.NewWorld(4)
@@ -214,7 +216,7 @@ func TestTrackerDeterministicAcrossWorkers(t *testing.T) {
 		return out
 	}
 	want := run(1)
-	for _, workers := range []int{2, 4} {
+	for _, workers := range []int{2, 3, 4} {
 		got := run(workers)
 		for r := range want {
 			if got[r] != want[r] {

@@ -21,10 +21,20 @@ type Tx struct {
 	Receivers []ident.NodeID
 }
 
-// Delivery is a successful reception.
+// Delivery is a successful reception, named by its position in the
+// slot's slate: txs[Tx] is the broadcast and txs[Tx].Receivers[Rx] the
+// receiver. A channel can only select receptions the slate offers — it
+// cannot invent a sender or a receiver — and the engine resolves a
+// delivery by index, with no ID lookup.
 type Delivery struct {
-	From, To ident.NodeID
+	Tx, Rx int32
 }
+
+// From returns the sender of d within the slate txs.
+func (d Delivery) From(txs []Tx) ident.NodeID { return txs[d.Tx].Sender }
+
+// To returns the receiver of d within the slate txs.
+func (d Delivery) To(txs []Tx) ident.NodeID { return txs[d.Tx].Receivers[d.Rx] }
 
 // Channel decides which receptions succeed among a slot's broadcasts.
 type Channel interface {
@@ -62,9 +72,9 @@ func (p Perfect) DeliverSlot(txs []Tx, rng *rand.Rand) []Delivery {
 
 // AppendDeliverSlot implements BufferedChannel.
 func (Perfect) AppendDeliverSlot(txs []Tx, _ *rand.Rand, buf []Delivery) []Delivery {
-	for _, tx := range txs {
-		for _, r := range tx.Receivers {
-			buf = append(buf, Delivery{From: tx.Sender, To: r})
+	for t, tx := range txs {
+		for r := range tx.Receivers {
+			buf = append(buf, Delivery{Tx: int32(t), Rx: int32(r)})
 		}
 	}
 	return buf
@@ -156,12 +166,12 @@ func (Collision) AppendDeliverSlot(txs []Tx, _ *rand.Rand, buf []Delivery) []Del
 			heard[r]++
 		}
 	}
-	for _, tx := range txs {
-		for _, r := range tx.Receivers {
+	for t, tx := range txs {
+		for i, r := range tx.Receivers {
 			if sending[r] || heard[r] > 1 {
 				continue
 			}
-			buf = append(buf, Delivery{From: tx.Sender, To: r})
+			buf = append(buf, Delivery{Tx: int32(t), Rx: int32(i)})
 		}
 	}
 	return buf

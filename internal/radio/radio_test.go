@@ -53,7 +53,7 @@ func TestCollisionTwoSendersJam(t *testing.T) {
 		{Sender: n(2), Receivers: []ident.NodeID{3}},
 	}
 	got := Collision{}.DeliverSlot(txs, nil)
-	if len(got) != 1 || got[0] != (Delivery{From: 1, To: 4}) {
+	if len(got) != 1 || got[0].From(txs) != 1 || got[0].To(txs) != 4 {
 		t.Fatalf("deliveries = %v", got)
 	}
 }
